@@ -7,16 +7,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/locator.hpp"
 #include "core/metrics.hpp"
+#include "nn/kernels/gemm.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "trace/scenario.hpp"
@@ -101,7 +104,8 @@ inline LatencySummary summarize_latencies(
 // twin of its stdout report, so CI can gate on regressions instead of
 // reconstructing the perf trajectory from prose. Layout contract (consumed
 // by bench_check and the perf-regression CI job): a top-level object with
-// "bench" (string), "scale" (double), and bench-specific sections; latency
+// "bench" (string), "scale" (double), "host" (kernel ISA tier and nproc,
+// stamped by write_bench_json), and bench-specific sections; latency
 // summaries always spell out p50_ms/p99_ms/traces_per_s.
 // ---------------------------------------------------------------------------
 
@@ -113,10 +117,20 @@ inline std::string bench_json_path(const std::string& name) {
   return dir + "/BENCH_" + name + ".json";
 }
 
-/// Writes the snapshot and echoes the path on stdout (the CI jobs grep for
-/// the "wrote " line to know emission happened).
+/// Closes and writes the snapshot, then echoes the path on stdout (the CI
+/// jobs grep for the "wrote " line to know emission happened). The
+/// writer's top-level object must still be open: this stamps the host
+/// class into it as "host": {"isa", "nproc"}, so snapshots from an AVX-512
+/// box and an AVX2 box are never compared blind. "isa" is the kernel tier
+/// the run dispatched to (nn::kernels::isa_name()).
 inline void write_bench_json(const std::string& name,
-                             const obs::JsonWriter& writer) {
+                             obs::JsonWriter& writer) {
+  writer.key("host").begin_object();
+  writer.kv("isa", nn::kernels::isa_name());
+  writer.kv("nproc", static_cast<std::uint64_t>(
+                         std::thread::hardware_concurrency()));
+  writer.end_object();
+  writer.end_object();
   const std::string path = bench_json_path(name);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   detail::require(static_cast<bool>(out),

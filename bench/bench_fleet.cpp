@@ -302,7 +302,6 @@ int main() {
   json.end_array();
 
   json.kv("parity_failures", parity_total);
-  json.end_object();
   bench::write_bench_json("fleet", json);
 
   if (parity_total > 0) {

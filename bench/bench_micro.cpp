@@ -9,6 +9,12 @@
 // case name — the fields the perf-regression CI job gates on — and, when
 // the library was built with SCALOCATE_PROFILE, the global registry's
 // kernel FLOP counters and per-shape timing histograms.
+//
+// Every case except the *Threads scaling curves runs at an intra-op
+// budget of 1 (kernels::IntraOpGuard): google-benchmark rate counters
+// divide by the bench thread's CPU time, which excludes compute-pool
+// workers, so a threaded case would report several cores' work as one
+// core's rate. Pinned, the rates are honest single-core kernel speeds.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -48,6 +54,7 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
 // M = Cout, N = out_len, K = Cin*K.
 
 void BM_GemmBlocked(benchmark::State& state) {
+  nn::kernels::IntraOpGuard single_core(1);
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
   const auto k = static_cast<std::size_t>(state.range(2));
@@ -71,6 +78,7 @@ BENCHMARK(BM_GemmBlocked)
     ->Args({256, 256, 256});  // square reference point
 
 void BM_GemmNaive(benchmark::State& state) {
+  nn::kernels::IntraOpGuard single_core(1);
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
   const auto k = static_cast<std::size_t>(state.range(2));
@@ -98,6 +106,7 @@ struct PaperConv {
 constexpr PaperConv kPaperConvs[] = {{1, 16}, {16, 16}, {16, 32}, {32, 32}};
 
 void BM_Conv1dForwardPaper(benchmark::State& state) {
+  nn::kernels::IntraOpGuard single_core(1);
   const PaperConv pc = kPaperConvs[state.range(0)];
   const std::size_t kernel = 64, n = 192, batch = 64;
   nn::Conv1d conv(pc.cin, pc.cout, kernel);
@@ -118,6 +127,7 @@ void BM_Conv1dForwardPaper(benchmark::State& state) {
 BENCHMARK(BM_Conv1dForwardPaper)->DenseRange(0, 3);
 
 void BM_Conv1dForwardNaivePaper(benchmark::State& state) {
+  nn::kernels::IntraOpGuard single_core(1);
   const PaperConv pc = kPaperConvs[state.range(0)];
   const std::size_t kernel = 64, n = 192, batch = 64;
   nn::Conv1d conv(pc.cin, pc.cout, kernel);  // same padding resolution
@@ -148,6 +158,7 @@ BENCHMARK(BM_Conv1dForwardNaivePaper)->DenseRange(0, 3);
 // 2x 32->32 across the residual blocks collapse to these four shapes with
 // multiplicities 1/2/1/2): one number for the model-level conv speedup.
 void BM_Conv1dForwardPaperStack(benchmark::State& state) {
+  nn::kernels::IntraOpGuard single_core(1);
   const bool use_gemm = state.range(0) != 0;
   const std::size_t kernel = 64, n = 192, batch = 64;
   const std::size_t mult[] = {1, 2, 1, 2};
@@ -253,6 +264,7 @@ BENCHMARK(BM_ConvStackThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime();
 
 void BM_Conv1dForward(benchmark::State& state) {
+  nn::kernels::IntraOpGuard single_core(1);
   const auto channels = static_cast<std::size_t>(state.range(0));
   nn::Conv1d conv(channels, channels, 16);
   Rng rng(1);
@@ -265,6 +277,7 @@ void BM_Conv1dForward(benchmark::State& state) {
 BENCHMARK(BM_Conv1dForward)->Arg(16)->Arg(32);
 
 void BM_PaperCnnWindowScore(benchmark::State& state) {
+  nn::kernels::IntraOpGuard single_core(1);
   auto net = core::build_paper_cnn(core::CnnConfig::scaled());
   net->set_training(false);
   const auto x = random_tensor({64, 1, 256}, 3);
@@ -432,7 +445,6 @@ int main(int argc, char** argv) {
   // otherwise this snapshot is empty).
   json.key("metrics");
   obs::Registry::global().render_json_into(json);
-  json.end_object();
   bench::write_bench_json("micro", json);
 
   benchmark::Shutdown();

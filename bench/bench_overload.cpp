@@ -317,7 +317,6 @@ int main() {
     json.end_object();
   }
 
-  json.end_object();
   bench::write_bench_json("overload", json);
   return 0;
 }

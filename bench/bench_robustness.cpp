@@ -215,7 +215,6 @@ int main() {
   json.kv("total_seconds", total.seconds());
   json.key("metrics");
   registry.render_json_into(json);
-  json.end_object();
   bench::write_bench_json("robustness", json);
 
   if (parity_failures > 0) {

@@ -157,7 +157,6 @@ int main() {
   json.key("metrics");
   stream_registry.render_json_into(json);
   json.end_object();
-  json.end_object();
   bench::write_bench_json("service", json);
   return 0;
 }

@@ -63,7 +63,7 @@ Tensor BatchNorm1d::forward(const Tensor& input, Workspace& ws) const {
       var = running_var_[c];
     }
 
-    const double inv_std = 1.0 / std::sqrt(var + eps_);
+    const double inv_std = this->inv_std(var);
     cached_inv_std[c] = static_cast<float>(inv_std);
     if (training_) {
       // Training keeps the normalize in double (as pre-backend): xhat
@@ -96,6 +96,24 @@ Tensor BatchNorm1d::forward(const Tensor& input, Workspace& ws) const {
     }
   }
   return out;
+}
+
+double BatchNorm1d::inv_std(double var) const {
+  return 1.0 / std::sqrt(var + eps_);
+}
+
+kernels::BnRelu BatchNorm1d::eval_bn_relu(Workspace& ws) const {
+  Workspace::Slot& slot = ws.slot(this);
+  slot.a = Tensor();
+  // [mean | 1/std], rounded to float exactly as the eval forward does.
+  slot.scalars.resize(2 * channels_);
+  float* mean = slot.scalars.data();
+  float* inv = mean + channels_;
+  for (std::size_t c = 0; c < channels_; ++c) {
+    mean[c] = running_mean_[c];
+    inv[c] = static_cast<float>(inv_std(running_var_[c]));
+  }
+  return {mean, inv, gamma_.value.data(), beta_.value.data()};
 }
 
 Tensor BatchNorm1d::backward(const Tensor& grad_output, Workspace& ws) {

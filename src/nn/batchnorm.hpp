@@ -5,6 +5,7 @@
 // in training mode; running estimates are used in eval mode.
 #pragma once
 
+#include "nn/kernels/gemm.hpp"
 #include "nn/layer.hpp"
 
 namespace scalocate::nn {
@@ -24,6 +25,13 @@ class BatchNorm1d final : public Layer {
   }
   std::string name() const override;
 
+  /// Eval-mode forward folded into the preceding convolution: stores the
+  /// per-channel mean and 1/std that forward() would apply in this layer's
+  /// workspace slot (dropping any cached xhat, so a stray backward fails
+  /// loudly) and returns the epilogue that applies them, then a ReLU, to
+  /// the conv accumulators. Valid until the slot is next written.
+  kernels::BnRelu eval_bn_relu(Workspace& ws) const;
+
   Param& gamma() { return gamma_; }
   Param& beta() { return beta_; }
   std::span<const float> running_mean() const { return running_mean_; }
@@ -34,6 +42,8 @@ class BatchNorm1d final : public Layer {
   std::vector<float>& mutable_running_var() { return running_var_; }
 
  private:
+  double inv_std(double var) const;
+
   std::size_t channels_;
   double eps_;
   double momentum_;

@@ -40,6 +40,17 @@ bool Conv1d::is_pointwise() const {
 }
 
 Tensor Conv1d::forward(const Tensor& input, Workspace& ws) const {
+  return run_forward(input, ws, nullptr);
+}
+
+Tensor Conv1d::forward_bn_relu(const Tensor& input, Workspace& ws,
+                               const kernels::BnRelu& bn_relu) const {
+  detail::require(!training_, "Conv1d::forward_bn_relu: eval mode only");
+  return run_forward(input, ws, &bn_relu);
+}
+
+Tensor Conv1d::run_forward(const Tensor& input, Workspace& ws,
+                           const kernels::BnRelu* bn_relu) const {
   detail::require(input.rank() == 3 && input.dim(1) == in_channels_,
                   "Conv1d::forward: expected [B, Cin, N], got " +
                       input.shape_string());
@@ -60,7 +71,7 @@ Tensor Conv1d::forward(const Tensor& input, Workspace& ws) const {
   kernels::sgemm_conv(out_channels_, out_len, batch, weight_.value.data(),
                       bias_.value.data(), input.data(), in_channels_, n,
                       kernel_size_, stride_, pad_left_, out.data(),
-                      ws.kernels().gemm);
+                      ws.kernels().gemm, bn_relu);
   return out;
 }
 

@@ -62,6 +62,19 @@ float* grow_zeroed(std::vector<float>& buf, std::size_t count) {
   return buf.data();
 }
 
+void bn_relu_inplace(float* out, std::size_t batch, std::size_t cout,
+                     std::size_t out_len, const BnRelu& epi) {
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t c = 0; c < cout; ++c) {
+      float* row = out + (b * cout + c) * out_len;
+      for (std::size_t i = 0; i < out_len; ++i) {
+        const float h = (row[i] - epi.mean[c]) * epi.inv_std[c];
+        const float y = epi.gamma[c] * h + epi.beta[c];
+        row[i] = y > 0.0f ? y : 0.0f;
+      }
+    }
+  }
+}
 
 #if defined(SCALOCATE_GEMM_AVX2)
 // Defined in gemm_avx2.cpp (compiled with -mavx2 -mfma).
@@ -73,14 +86,45 @@ void sgemm_conv_avx2(std::size_t cout, std::size_t out_len, std::size_t batch,
                      const float* w, const float* bias, const float* x,
                      std::size_t cin, std::size_t n, std::size_t kernel,
                      std::size_t stride, std::size_t pad_left, float* out,
-                     GemmScratch& scratch);
-
-bool cpu_has_avx2_fma() {
-  static const bool supported =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return supported;
-}
+                     const BnRelu* bn_relu, GemmScratch& scratch);
 #endif
+#if defined(SCALOCATE_GEMM_AVX512)
+// Defined in gemm_avx512.cpp (compiled with -mavx512f -mavx512vl).
+void conv_direct_avx512(std::size_t cout, std::size_t out_len,
+                        std::size_t batch, const float* w, const float* bias,
+                        const float* x, std::size_t cin, std::size_t n,
+                        std::size_t kernel, std::size_t pad_left, float* out,
+                        const BnRelu* bn_relu, GemmScratch& scratch);
+#endif
+
+namespace {
+
+/// Best tier this build and CPU support, probed once.
+Isa best_isa() {
+  static const Isa best = [] {
+#if defined(SCALOCATE_GEMM_AVX2)
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+#if defined(SCALOCATE_GEMM_AVX512)
+      if (__builtin_cpu_supports("avx512f") &&
+          __builtin_cpu_supports("avx512vl"))
+        return Isa::kAvx512;
+#endif
+      return Isa::kAvx2;
+    }
+#endif
+    return Isa::kPortable;
+  }();
+  return best;
+}
+
+thread_local Isa isa_cap = Isa::kAvx512;
+
+}  // namespace
+
+Isa active_isa() { return std::min(best_isa(), isa_cap); }
+
+IsaCapGuard::IsaCapGuard(Isa cap) : previous_(isa_cap) { isa_cap = cap; }
+IsaCapGuard::~IsaCapGuard() { isa_cap = previous_; }
 
 }  // namespace detail
 
@@ -91,39 +135,65 @@ GemmScratch& GemmScratch::lane(std::size_t index) {
   return *extra_lanes_[index - 1];
 }
 
+const char* isa_name() {
+  switch (detail::active_isa()) {
+    case detail::Isa::kAvx512:
+      return "avx512";
+    case detail::Isa::kAvx2:
+      return "avx2";
+    case detail::Isa::kPortable:
+      break;
+  }
+  return "portable";
+}
+
 namespace {
 
+using detail::Isa;
+
 // ISA dispatch for one single-threaded kernel invocation (the threaded
-// drivers call this once per chunk; every chunk runs the same kernel).
-void sgemm_st(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-              std::size_t k, float alpha, const float* a, std::size_t lda,
-              const float* b, std::size_t ldb, float beta, float* c,
-              std::size_t ldc, GemmScratch& scratch) {
+// drivers call this once per chunk; every chunk runs the same kernel, on
+// the tier the calling thread resolved).
+void sgemm_st(Isa isa, bool trans_a, bool trans_b, std::size_t m,
+              std::size_t n, std::size_t k, float alpha, const float* a,
+              std::size_t lda, const float* b, std::size_t ldb, float beta,
+              float* c, std::size_t ldc, GemmScratch& scratch) {
 #if defined(SCALOCATE_GEMM_AVX2)
-  if (detail::cpu_has_avx2_fma()) {
+  if (isa >= Isa::kAvx2) {
     detail::sgemm_avx2(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta,
                        c, ldc, scratch);
     return;
   }
 #endif
+  (void)isa;
   detail::sgemm_blocked<4, 8>(trans_a, trans_b, m, n, k, alpha, a, lda, b,
                               ldb, beta, c, ldc, scratch);
 }
 
-void sgemm_conv_st(std::size_t cout, std::size_t out_len, std::size_t batch,
-                   const float* w, const float* bias, const float* x,
-                   std::size_t cin, std::size_t n, std::size_t kernel,
-                   std::size_t stride, std::size_t pad_left, float* out,
-                   GemmScratch& scratch) {
-#if defined(SCALOCATE_GEMM_AVX2)
-  if (detail::cpu_has_avx2_fma()) {
-    detail::sgemm_conv_avx2(cout, out_len, batch, w, bias, x, cin, n, kernel,
-                            stride, pad_left, out, scratch);
+void sgemm_conv_st(Isa isa, std::size_t cout, std::size_t out_len,
+                   std::size_t batch, const float* w, const float* bias,
+                   const float* x, std::size_t cin, std::size_t n,
+                   std::size_t kernel, std::size_t stride,
+                   std::size_t pad_left, float* out,
+                   const BnRelu* bn_relu, GemmScratch& scratch) {
+#if defined(SCALOCATE_GEMM_AVX512)
+  if (isa == Isa::kAvx512 && stride == 1) {
+    detail::conv_direct_avx512(cout, out_len, batch, w, bias, x, cin, n,
+                               kernel, pad_left, out, bn_relu, scratch);
     return;
   }
 #endif
-  detail::sgemm_conv_blocked<4, 8>(cout, out_len, batch, w, bias, x, cin, n,
-                                   kernel, stride, pad_left, out, scratch);
+#if defined(SCALOCATE_GEMM_AVX2)
+  if (isa >= Isa::kAvx2) {
+    detail::sgemm_conv_avx2(cout, out_len, batch, w, bias, x, cin, n, kernel,
+                            stride, pad_left, out, bn_relu, scratch);
+    return;
+  }
+#endif
+  (void)isa;
+  detail::sgemm_conv_blocked<4, 8, 4, 4>(cout, out_len, batch, w, bias, x,
+                                         cin, n, kernel, stride, pad_left,
+                                         out, bn_relu, scratch);
 }
 
 // Chunks for statically partitioning `extent` units of one macro-loop:
@@ -154,8 +224,12 @@ ChunkRange chunk_range(std::size_t extent, std::size_t chunks, std::size_t i) {
 // amortized. Any width would be bit-correct; this is purely a perf floor.
 constexpr std::size_t kMinColsPerChunk = 32;
 constexpr std::size_t kMinRowsPerChunk = 32;
-// Output channels per conv chunk: one MRC register block of conv_direct.
-constexpr std::size_t kMinCoutPerChunk = 4;
+
+// Output channels per conv chunk: one MRC register block of the tier's
+// conv_direct tile, so a channel split never hands it a partial block.
+std::size_t conv_row_block(Isa isa) {
+  return isa == Isa::kAvx512 ? 8 : 4;
+}
 
 /// Grows the scratch lanes OUTSIDE the parallel region (lane() mutates a
 /// vector and must not race), then runs fn(chunk, lane) over the pool.
@@ -191,6 +265,7 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   flops.add(2ull * m * n * k);
   obs::SpanTimer span(shape_histogram("gemm", m, n, k));
 #endif
+  const Isa isa = detail::active_isa();
   const std::size_t budget = intra_op_threads();
   if (budget > 1 && !in_parallel_region() &&
       2ull * m * n * k >= parallel_min_flops()) {
@@ -202,8 +277,8 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
       parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
         const auto [j0, len] = chunk_range(n, chunks, ci);
         const float* b_sub = trans_b ? b + j0 * ldb : b + j0;
-        sgemm_st(trans_a, trans_b, m, len, k, alpha, a, lda, b_sub, ldb, beta,
-                 c + j0, ldc, ls);
+        sgemm_st(isa, trans_a, trans_b, m, len, k, alpha, a, lda, b_sub, ldb,
+                 beta, c + j0, ldc, ls);
       });
       return;
     }
@@ -212,13 +287,13 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
       parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
         const auto [i0, len] = chunk_range(m, chunks, ci);
         const float* a_sub = trans_a ? a + i0 : a + i0 * lda;
-        sgemm_st(trans_a, trans_b, len, n, k, alpha, a_sub, lda, b, ldb, beta,
-                 c + i0 * ldc, ldc, ls);
+        sgemm_st(isa, trans_a, trans_b, len, n, k, alpha, a_sub, lda, b, ldb,
+                 beta, c + i0 * ldc, ldc, ls);
       });
       return;
     }
   }
-  sgemm_st(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+  sgemm_st(isa, trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
            scratch);
 }
 
@@ -226,7 +301,7 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
                 const float* w, const float* bias, const float* x,
                 std::size_t cin, std::size_t n, std::size_t kernel,
                 std::size_t stride, std::size_t pad_left, float* out,
-                GemmScratch& scratch) {
+                GemmScratch& scratch, const BnRelu* bn_relu) {
   if (cout == 0 || out_len == 0 || batch == 0) return;
 #if defined(SCALOCATE_PROFILE)
   static obs::Counter& calls = profile_counter("kernels.conv.calls");
@@ -235,6 +310,7 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
   flops.add(2ull * batch * cout * out_len * cin * kernel);
   obs::SpanTimer span(shape_histogram("conv", cout, out_len, cin * kernel));
 #endif
+  const Isa isa = detail::active_isa();
   const std::size_t budget = intra_op_threads();
   if (budget > 1 && !in_parallel_region() &&
       2ull * batch * cout * out_len * cin * kernel >= parallel_min_flops()) {
@@ -244,29 +320,38 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
       const std::size_t chunks = std::min(budget, batch);
       parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
         const auto [b0, len] = chunk_range(batch, chunks, ci);
-        sgemm_conv_st(cout, out_len, len, w, bias, x + b0 * cin * n, cin, n,
-                      kernel, stride, pad_left, out + b0 * cout * out_len,
-                      ls);
+        sgemm_conv_st(isa, cout, out_len, len, w, bias, x + b0 * cin * n,
+                      cin, n, kernel, stride, pad_left,
+                      out + b0 * cout * out_len, bn_relu, ls);
       });
       return;
     }
     // Single item (streaming single-window scoring): split the output
-    // channels — each chunk owns a [c0, c0+len) slab of the output and its
-    // matching weight rows; the per-channel tap accumulation order is
-    // untouched, so this too is bit-identical.
-    const std::size_t chunks = chunks_for(cout, kMinCoutPerChunk, budget);
+    // channels in whole tile row blocks — each chunk owns a [c0, c0+len)
+    // slab of the output and its matching weight rows; the per-channel tap
+    // accumulation order is untouched, so this too is bit-identical.
+    const std::size_t rows = conv_row_block(isa);
+    const std::size_t blocks = (cout + rows - 1) / rows;
+    const std::size_t chunks = chunks_for(blocks, 1, budget);
     if (chunks > 1) {
       parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
-        const auto [c0, len] = chunk_range(cout, chunks, ci);
-        sgemm_conv_st(len, out_len, batch, w + c0 * cin * kernel,
+        const auto [blk0, nblk] = chunk_range(blocks, chunks, ci);
+        const std::size_t c0 = blk0 * rows;
+        const std::size_t len = std::min(cout, (blk0 + nblk) * rows) - c0;
+        BnRelu slab{};
+        if (bn_relu != nullptr)
+          slab = {bn_relu->mean + c0, bn_relu->inv_std + c0,
+                  bn_relu->gamma + c0, bn_relu->beta + c0};
+        sgemm_conv_st(isa, len, out_len, batch, w + c0 * cin * kernel,
                       bias != nullptr ? bias + c0 : nullptr, x, cin, n,
-                      kernel, stride, pad_left, out + c0 * out_len, ls);
+                      kernel, stride, pad_left, out + c0 * out_len,
+                      bn_relu != nullptr ? &slab : nullptr, ls);
       });
       return;
     }
   }
-  sgemm_conv_st(cout, out_len, batch, w, bias, x, cin, n, kernel, stride,
-                pad_left, out, scratch);
+  sgemm_conv_st(isa, cout, out_len, batch, w, bias, x, cin, n, kernel, stride,
+                pad_left, out, bn_relu, scratch);
 }
 
 void sgemm_naive(bool trans_a, bool trans_b, std::size_t m, std::size_t n,

@@ -20,6 +20,15 @@
 // per-element summation order is unchanged, so the threaded results are
 // bit-identical to the single-threaded kernels at every thread count.
 //
+// ISA dispatch: three tiers, chosen at runtime from cpuid. The portable
+// tier is compiled for the baseline ISA; on x86-64 an AVX2+FMA tier
+// (gemm_avx2.cpp) runs every kernel, and an AVX-512 tier (gemm_avx512.cpp)
+// takes over the stride-1 convolutions with a 16-float-vector tile. The
+// AVX2 and AVX-512 tiers issue the same fused multiply-adds in the same
+// order for every output element, so their results are bit-identical;
+// the portable tier rounds each product before the add and may differ
+// from them in the last bits.
+//
 // Thread-safety: sgemm is pure compute over caller-provided buffers; the
 // pack buffers live in a caller-owned GemmScratch (one per nn::Workspace,
 // hence one per concurrent inference caller). The threaded driver packs
@@ -73,6 +82,19 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc, GemmScratch& scratch);
 
+/// Eval-mode BatchNorm1d + ReLU applied per output channel to the conv
+/// accumulators before the store, with BatchNorm1d's eval arithmetic:
+/// h = (acc - mean) * inv_std; y = gamma * h + beta; out = y > 0 ? y : 0,
+/// each op rounded separately (no FMA contraction), so a fused conv block
+/// is bit-identical to Conv1d -> BatchNorm1d -> ReLU run layer by layer.
+/// Every pointer addresses one float per output channel.
+struct BnRelu {
+  const float* mean;
+  const float* inv_std;
+  const float* gamma;
+  const float* beta;
+};
+
 /// Fused batched convolution forward:
 /// out[b] = W * im2col(x[b]) + bias for x [batch, cin, n] and
 /// out [batch, cout, out_len], as a single blocked GEMM. The column
@@ -80,11 +102,12 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// rides the first-panel write-back, so the conv forward packs the weight
 /// matrix once per call and makes exactly one pass over the output.
 /// `bias` may be null. out_len must equal conv_output_length(...).
+/// A non-null `bn_relu` applies that epilogue to every output.
 void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
                 const float* w, const float* bias, const float* x,
                 std::size_t cin, std::size_t n, std::size_t kernel,
                 std::size_t stride, std::size_t pad_left, float* out,
-                GemmScratch& scratch);
+                GemmScratch& scratch, const BnRelu* bn_relu = nullptr);
 
 /// Reference kernel: naive triple loop, double accumulators. Same
 /// contract as sgemm. Used by the parity tests and as the baseline in
@@ -93,5 +116,34 @@ void sgemm_naive(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                  std::size_t k, float alpha, const float* a, std::size_t lda,
                  const float* b, std::size_t ldb, float beta, float* c,
                  std::size_t ldc);
+
+/// Kernel tier the calling thread dispatches to: "avx512", "avx2" or
+/// "portable".
+const char* isa_name();
+
+namespace detail {
+
+/// Dispatch tiers, ordered: a CPU that runs a tier runs every lower one.
+enum class Isa { kPortable, kAvx2, kAvx512 };
+
+/// Tier the calling thread dispatches to: the best one this build and CPU
+/// support, capped by any IsaCapGuard alive on this thread.
+Isa active_isa();
+
+/// Test seam: caps the calling thread's dispatch tier for its lifetime, so
+/// the cross-tier parity tests can run two tiers on one host. The tier is
+/// resolved on the calling thread, so threaded kernel calls honour it.
+class IsaCapGuard {
+ public:
+  explicit IsaCapGuard(Isa cap);
+  ~IsaCapGuard();
+  IsaCapGuard(const IsaCapGuard&) = delete;
+  IsaCapGuard& operator=(const IsaCapGuard&) = delete;
+
+ private:
+  Isa previous_;
+};
+
+}  // namespace detail
 
 }  // namespace scalocate::nn::kernels

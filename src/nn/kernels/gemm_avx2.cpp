@@ -2,8 +2,9 @@
 //
 // This translation unit is compiled with -mavx2 -mfma (see CMakeLists) on
 // x86-64 builds only; sgemm() dispatches here at runtime when the CPU
-// reports both features. The 6x16 tile holds twelve 8-float accumulator
-// vectors in ymm registers with room for the A broadcast and B loads.
+// reports both features. The 6x16 GEMM tile holds twelve 8-float
+// accumulator vectors in ymm registers with room for the A broadcast and
+// B loads; the 4x16 direct-conv tile holds eight.
 #if defined(SCALOCATE_GEMM_AVX2)
 
 #include "nn/kernels/gemm_blocked.hpp"
@@ -25,9 +26,10 @@ void sgemm_conv_avx2(std::size_t cout, std::size_t out_len, std::size_t batch,
                      const float* w, const float* bias, const float* x,
                      std::size_t cin, std::size_t n, std::size_t kernel,
                      std::size_t stride, std::size_t pad_left, float* out,
-                     GemmScratch& scratch) {
-  sgemm_conv_blocked<6, 16>(cout, out_len, batch, w, bias, x, cin, n, kernel,
-                            stride, pad_left, out, scratch);
+                     const BnRelu* bn_relu, GemmScratch& scratch) {
+  sgemm_conv_blocked<6, 16, 4, 8>(cout, out_len, batch, w, bias, x, cin, n,
+                                  kernel, stride, pad_left, out, bn_relu,
+                                  scratch);
 }
 
 }  // namespace scalocate::nn::kernels::detail

@@ -1,14 +1,18 @@
 // Internal: the cache-blocked GEMM implementation, templated on the
 // register-tile shape (MR x NR), a B-packing policy, and a C-placement
-// policy.
+// policy, plus the pack-free direct convolution tile.
 //
-// The template is instantiated in two translation units with different
-// tiles and different compiler flags:
-//   - gemm.cpp        -> <4, 8>   (portable baseline ISA)
-//   - gemm_avx2.cpp   -> <6, 16>  (compiled with -mavx2 -mfma)
-// sgemm() in gemm.cpp picks the widest instantiation the running CPU
-// supports. Keeping the body a template (instead of ifdef'd copies) means
-// one algorithm, two codegens.
+// The templates are instantiated in three translation units with
+// different tiles and different compiler flags:
+//   - gemm.cpp         -> GEMM 4x8,  conv 4x8   (portable baseline ISA)
+//   - gemm_avx2.cpp    -> GEMM 6x16, conv 4x16  (-mavx2 -mfma)
+//   - gemm_avx512.cpp  ->             conv 8x32  (-mavx512f -mavx512vl)
+// gemm.cpp dispatches to the widest tier the running CPU supports. Keeping
+// the bodies templates (instead of ifdef'd copies) means one algorithm,
+// three codegens. No two TUs may instantiate the same template with the
+// same arguments: the linker merges such COMDAT copies and could keep an
+// AVX-encoded one for a CPU without that ISA (tools/scalocate_lint.py,
+// rule isa-comdat, checks this).
 //
 // Policies:
 //   - PlainB / PlainCStore: ordinary row-major GEMM.
@@ -37,8 +41,8 @@ constexpr std::size_t kMC = 132;  // multiple of both MR choices (4 and 6)
 constexpr std::size_t kKC = 256;
 constexpr std::size_t kNC = 512;
 
-// Internal linkage on purpose: this header is compiled into both the
-// baseline TU and the -mavx2 TU. A COMDAT-merged external-linkage inline
+// Internal linkage on purpose: this header is compiled into the baseline
+// TU and into the ISA TUs. A COMDAT-merged external-linkage inline
 // could let the linker keep the AVX-encoded copy and feed it to baseline
 // code paths (SIGILL on pre-AVX2 CPUs); a static copy per TU cannot leak.
 static inline float load_any(bool trans, const float* m, std::size_t ld,
@@ -46,11 +50,31 @@ static inline float load_any(bool trans, const float* m, std::size_t ld,
   return trans ? m[col * ld + row] : m[row * ld + col];
 }
 
-/// Out-of-line vector growth/zeroing, defined ONLY in gemm.cpp (baseline
-/// ISA): keeps std::vector<float> method instantiations — which contain
-/// vectorizable float loops — out of the AVX2 TU for the same reason.
+/// Returns v unchanged but opaque to the optimizer, so the op that
+/// consumes it cannot be contracted with the op that produced it: keeps
+/// `gamma * h + beta` a rounded product then a rounded sum, as
+/// BatchNorm1d computes it, in TUs built with FMA.
+template <class V>
+static inline V rounded(V v) {
+#if defined(__x86_64__) || defined(__i386__)
+  __asm__("" : "+v"(v));
+#elif defined(__aarch64__)
+  __asm__("" : "+w"(v));
+#else
+  __asm__("" : "+m"(v));
+#endif
+  return v;
+}
+
+/// Out-of-line helpers defined ONLY in gemm.cpp (baseline ISA): keeps
+/// std::vector<float> method instantiations — which contain vectorizable
+/// float loops — out of the ISA TUs for the same reason.
 float* grow(std::vector<float>& buf, std::size_t count);
 float* grow_zeroed(std::vector<float>& buf, std::size_t count);
+/// The BnRelu epilogue as a pass over a finished [batch, cout, out_len]
+/// output (strided convolutions, whose GEMM accumulates over k-panels).
+void bn_relu_inplace(float* out, std::size_t batch, std::size_t cout,
+                     std::size_t out_len, const BnRelu& epi);
 
 /// Packs A[ic..ic+mc) x [pc..pc+kc) into MR-row panels, zero-padding the
 /// ragged last panel so the micro-kernel never branches on bounds.
@@ -347,16 +371,20 @@ void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// sliding-window structure means every "column matrix" strip is just a
 /// shifted slice of an input row, so the micro-kernel reads x in place
 /// (the per-item input is L1-sized for the paper model) while MRC output
-/// channels x NR output positions accumulate in vector registers. This
-/// beats im2col+GEMM whenever Cout is small: packing traffic cannot be
-/// amortized over few GEMM rows, and here there is none.
-template <std::size_t MRC, std::size_t NR>
+/// channels x NR output positions accumulate in VL-float vector registers.
+/// This beats im2col+GEMM whenever Cout is small: packing traffic cannot
+/// be amortized over few GEMM rows, and here there is none.
+///
+/// Every output is bias, then + x * w over channels and taps in that
+/// order, whatever the tile: tiers whose compilers emit FMAs for the
+/// update produce bit-identical results. A non-null `bn_relu` is applied
+/// to the accumulators before the store.
+template <std::size_t MRC, std::size_t NR, std::size_t VL>
 void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
                  const float* w, const float* bias, const float* x,
                  std::size_t cin, std::size_t n, std::size_t kernel,
-                 std::size_t pad_left, std::size_t pad_right, float* out,
+                 std::size_t pad_left, float* out, const BnRelu* bn_relu,
                  GemmScratch& scratch) {
-  constexpr std::size_t VL = NR >= 16 ? 8 : 4;
   static_assert(NR % VL == 0);
   constexpr std::size_t NV = NR / VL;
   typedef float vf __attribute__((vector_size(VL * sizeof(float))));
@@ -366,9 +394,20 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
   // item (plus NR floats of load slop), so every tap load in the hot loop
   // is a plain unaligned vector load — no border branches, and the
   // accumulators are only ever touched with whole-vector ops (a per-lane
-  // subscript would force them onto the stack).
-  const std::size_t np = pad_left + n + pad_right + NR;
+  // subscript would force them onto the stack). The padded row spans
+  // out_len + kernel - 1 samples.
+  const std::size_t np = out_len + kernel - 1 + NR;
   float* xpad = grow_zeroed(scratch.pack_a, cin * np);
+  // A ragged last channel block reads its weights from a zero-padded
+  // MRC-row copy, so every tile runs all MRC rows (a compile-time trip
+  // count keeps the accumulators in registers); padded rows are not stored.
+  const std::size_t full_rows = cout / MRC * MRC;
+  float* wtail = nullptr;
+  if (full_rows < cout) {
+    wtail = grow_zeroed(scratch.pack_b, MRC * wrow_stride);
+    __builtin_memcpy(wtail, w + full_rows * wrow_stride,
+                     (cout - full_rows) * wrow_stride * sizeof(float));
+  }
 
   for (std::size_t b = 0; b < batch; ++b) {
     const float* xi = x + b * cin * n;
@@ -378,24 +417,45 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
                        n * sizeof(float));
     for (std::size_t co0 = 0; co0 < cout; co0 += MRC) {
       const std::size_t mc = std::min(MRC, cout - co0);
+      const float* wblk = co0 < full_rows ? w + co0 * wrow_stride : wtail;
+      // Per-row constants; padded rows keep zeros.
+      float rbias[MRC] = {}, rmean[MRC] = {}, rinv[MRC] = {};
+      float rgamma[MRC] = {}, rbeta[MRC] = {};
+      for (std::size_t ir = 0; ir < mc; ++ir) {
+        const std::size_t co = co0 + ir;
+        if (bias != nullptr) rbias[ir] = bias[co];
+        if (bn_relu != nullptr) {
+          rmean[ir] = bn_relu->mean[co];
+          rinv[ir] = bn_relu->inv_std[co];
+          rgamma[ir] = bn_relu->gamma[co];
+          rbeta[ir] = bn_relu->beta[co];
+        }
+      }
       for (std::size_t j0 = 0; j0 < out_len; j0 += NR) {
         const std::size_t nr = std::min(NR, out_len - j0);
         vf acc[MRC][NV];
-        for (std::size_t ir = 0; ir < MRC; ++ir) {
-          const float bv = (bias != nullptr && ir < mc) ? bias[co0 + ir] : 0.0f;
-          for (std::size_t v = 0; v < NV; ++v) acc[ir][v] = vf{} + bv;
-        }
+        for (std::size_t ir = 0; ir < MRC; ++ir)
+          for (std::size_t v = 0; v < NV; ++v) acc[ir][v] = vf{} + rbias[ir];
         for (std::size_t ci = 0; ci < cin; ++ci) {
           // Output position j0+jr, tap t reads xpad[ci, j0 + jr + t].
           const float* xrow = xpad + ci * np + j0;
-          const float* wtap = w + (co0 * cin + ci) * kernel;
+          const float* wtap = wblk + ci * kernel;
           for (std::size_t tap = 0; tap < kernel; ++tap) {
-            vf bv[NV];
+            vf xv[NV];
             for (std::size_t v = 0; v < NV; ++v)
-              __builtin_memcpy(&bv[v], xrow + tap + v * VL, sizeof(vf));
-            for (std::size_t ir = 0; ir < mc; ++ir) {
+              __builtin_memcpy(&xv[v], xrow + tap + v * VL, sizeof(vf));
+            for (std::size_t ir = 0; ir < MRC; ++ir) {
               const float av = wtap[ir * wrow_stride + tap];
-              for (std::size_t v = 0; v < NV; ++v) acc[ir][v] += bv[v] * av;
+              for (std::size_t v = 0; v < NV; ++v) acc[ir][v] += xv[v] * av;
+            }
+          }
+        }
+        if (bn_relu != nullptr) {
+          for (std::size_t ir = 0; ir < MRC; ++ir) {
+            for (std::size_t v = 0; v < NV; ++v) {
+              const vf h = (acc[ir][v] - rmean[ir]) * rinv[ir];
+              const vf y = rounded(h * rgamma[ir]) + rbeta[ir];
+              acc[ir][v] = y > vf{} ? y : vf{};
             }
           }
         }
@@ -417,28 +477,30 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
 }
 
 /// Fused batched conv forward: out[b] = W * im2col(x[b]) + bias for every
-/// batch item. Stride-1 convolutions use the pack-free direct kernel;
+/// batch item, then the optional BnRelu epilogue. Stride-1 convolutions
+/// use the pack-free direct kernel with a CR-row x 2*VL-position tile;
 /// strided ones run as ONE blocked GEMM (weights packed once per call)
 /// with a virtual column matrix and scattered output placement.
-template <std::size_t MR, std::size_t NR>
+template <std::size_t MR, std::size_t NR, std::size_t CR, std::size_t VL>
 void sgemm_conv_blocked(std::size_t cout, std::size_t out_len,
                         std::size_t batch, const float* w, const float* bias,
                         const float* x, std::size_t cin, std::size_t n,
                         std::size_t kernel, std::size_t stride,
                         std::size_t pad_left, float* out,
-                        GemmScratch& scratch) {
+                        const BnRelu* bn_relu, GemmScratch& scratch) {
   if (stride == 1) {
-    // 4 channel rows regardless of tile: acc pressure is MRC*NV + NV + 1
-    // vector registers. Padding totals are recovered from out_len.
-    const std::size_t pad_total = (out_len - 1) + kernel - n;
-    conv_direct<4, NR>(cout, out_len, batch, w, bias, x, cin, n, kernel,
-                       pad_left, pad_total - pad_left, out, scratch);
+    // Two vectors per row keep 2*CR + 3 vector registers live (the
+    // accumulators, two input vectors, one weight broadcast).
+    conv_direct<CR, 2 * VL, VL>(cout, out_len, batch, w, bias, x, cin, n,
+                                kernel, pad_left, out, bn_relu, scratch);
     return;
   }
   sgemm_blocked_core<MR, NR>(
       /*trans_a=*/false, cout, batch * out_len, cin * kernel, 1.0f, w,
       cin * kernel, Im2colB{x, cin, n, kernel, stride, pad_left, out_len},
       BatchedConvCStore{out, cout, out_len, bias}, scratch);
+  if (bn_relu != nullptr)
+    bn_relu_inplace(out, batch, cout, out_len, *bn_relu);
 }
 
 }  // namespace scalocate::nn::kernels::detail

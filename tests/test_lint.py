@@ -173,6 +173,71 @@ class HeaderUsingRule(unittest.TestCase):
             self.assertEqual(lint.check_header_using(Path(root)), [])
 
 
+class IsaComdatRule(unittest.TestCase):
+    # A tile template and a driver that instantiates it, mirroring
+    # gemm_blocked.hpp: the driver's explicit arguments are expressions of
+    # its own template parameters.
+    HEADER = """\
+template <int R, int W>
+void tile(float* out) { out[0] = R * W; }
+
+template <int R, int V>
+void driver(float* out) {
+  tile<R, 2 * V>(out);  // the conv tile is two vectors wide
+}
+
+template <class T>
+static inline T opaque(T v) { return v; }
+"""
+
+    def tree(self, avx2: str, avx512: str, baseline: str = "") -> dict:
+        inc = '#include "nn/kernels/blocked.hpp"\n'
+        return {"src/nn/kernels/blocked.hpp": self.HEADER,
+                "src/nn/kernels/gemm.cpp": inc + baseline,
+                "src/nn/kernels/gemm_avx2.cpp": inc + avx2,
+                "src/nn/kernels/gemm_avx512.cpp": inc + avx512}
+
+    def test_fires_on_shared_transitive_instantiation(self):
+        # driver<4, 8> instantiates tile<4, 16>, which the AVX-512 TU also
+        # instantiates directly.
+        files = self.tree(avx2="void a(float* o) { driver<4, 8>(o); }\n",
+                          avx512="void b(float* o) { tile<4, 16>(o); }\n")
+        with make_tree(files) as root:
+            findings = lint.check_isa_comdat(Path(root))
+        self.assertEqual(len(findings), 1)
+        self.assertIn("[isa-comdat]", findings[0])
+        self.assertIn("tile<4, 16>", findings[0])
+        self.assertIn("gemm_avx2.cpp", findings[0])
+        self.assertIn("gemm_avx512.cpp", findings[0])
+
+    def test_fires_against_the_baseline_tu(self):
+        files = self.tree(avx2="void a(float* o) { driver<4, 8>(o); }\n",
+                          avx512="",
+                          baseline="void c(float* o) { driver<4, 8>(o); }\n")
+        with make_tree(files) as root:
+            findings = lint.check_isa_comdat(Path(root))
+        # driver<4, 8> and the tile<4, 16> it instantiates.
+        self.assertEqual(len(findings), 2)
+
+    def test_passes_on_distinct_tiles(self):
+        files = self.tree(avx2="void a(float* o) { driver<4, 8>(o); }\n",
+                          avx512="void b(float* o) { tile<8, 32>(o); }\n",
+                          baseline="void c(float* o) { driver<4, 4>(o); }\n")
+        with make_tree(files) as root:
+            self.assertEqual(lint.check_isa_comdat(Path(root)), [])
+
+    def test_static_templates_and_comments_do_not_fire(self):
+        # Internal linkage cannot be COMDAT-merged; commented-out calls
+        # instantiate nothing.
+        files = self.tree(
+            avx2="float a(float v) { return opaque<float>(v); }\n",
+            avx512=("float b(float v) { return opaque<float>(v); }\n"
+                    "// driver<4, 8>(o);\n"),
+            baseline="void c(float* o) { driver<4, 8>(o); }\n")
+        with make_tree(files) as root:
+            self.assertEqual(lint.check_isa_comdat(Path(root)), [])
+
+
 class RepositoryIsClean(unittest.TestCase):
     def test_full_lint_has_zero_findings(self):
         findings = lint.run(REPO_ROOT)

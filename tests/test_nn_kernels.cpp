@@ -4,14 +4,20 @@
 // new backend (Conv1d/Linear/MaxPool1d).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/model.hpp"
+#include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/init.hpp"
@@ -22,6 +28,7 @@
 #include "nn/kernels/reference.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
+#include "nn/sequential.hpp"
 #include "nn/tensor.hpp"
 
 namespace scalocate::nn {
@@ -464,6 +471,263 @@ TEST(GemmThreaded, TrainingBitParityAcrossThreadBudgets) {
   const auto ref = train_tiny_stack(1);
   expect_bit_equal(train_tiny_stack(2), ref, "trained params+output, t=2");
   expect_bit_equal(train_tiny_stack(8), ref, "trained params+output, t=8");
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch tiers and the fused eval conv block
+// ---------------------------------------------------------------------------
+
+using kernels::detail::Isa;
+using kernels::detail::IsaCapGuard;
+
+/// Every tier this host runs, widest first.
+std::vector<Isa> host_tiers() {
+  std::vector<Isa> tiers;
+  for (Isa t : {Isa::kAvx512, Isa::kAvx2, Isa::kPortable})
+    if (t <= kernels::detail::active_isa()) tiers.push_back(t);
+  return tiers;
+}
+
+/// Per-channel eval BatchNorm parameters, laid out as kernels::BnRelu
+/// wants them.
+struct BnParams {
+  std::vector<float> mean, inv_std, gamma, beta;
+  explicit BnParams(std::size_t c, std::uint64_t seed)
+      : mean(random_vec(c, seed)),
+        inv_std(random_vec(c, seed + 1)),
+        gamma(random_vec(c, seed + 2)),
+        beta(random_vec(c, seed + 3)) {
+    for (float& v : inv_std) v = 0.5f + std::fabs(v);
+  }
+  kernels::BnRelu view() const {
+    return {mean.data(), inv_std.data(), gamma.data(), beta.data()};
+  }
+};
+
+TEST(ConvTiers, IsaNameFollowsDispatch) {
+  const std::string best = kernels::isa_name();
+  EXPECT_TRUE(best == "avx512" || best == "avx2" || best == "portable");
+  IsaCapGuard cap(Isa::kPortable);
+  EXPECT_STREQ(kernels::isa_name(), "portable");
+}
+
+TEST(ConvTiers, Avx512DirectConvBitIdenticalToAvx2) {
+  if (kernels::detail::active_isa() != Isa::kAvx512)
+    GTEST_SKIP() << "no avx512f tier on this host (dispatch: "
+                 << kernels::isa_name() << ")";
+  kernels::ParallelGrainGuard grain(1);
+  struct Shape {
+    std::size_t cout, cin, kernel, pad_left, pad_right, n;
+  };
+  // Ragged everywhere: cout % 8 != 0 (and one multiple of 8 with a ragged
+  // AVX2-only row count), out_len % 32 != 0, kernels 1/16/64, cin 1/3/32,
+  // asymmetric padding.
+  const Shape shapes[] = {
+      {13, 1, 16, 7, 8, 45},  {8, 3, 64, 31, 32, 100},
+      {21, 32, 1, 0, 0, 37},  {12, 32, 16, 3, 12, 70},
+      {5, 3, 64, 40, 10, 40}, {16, 1, 64, 31, 32, 192}};
+  std::uint64_t seed = 2000;
+  for (const Shape& s : shapes) {
+    const std::size_t out_len =
+        kernels::conv_output_length(s.n, s.kernel, 1, s.pad_left, s.pad_right);
+    const auto w = random_vec(s.cout * s.cin * s.kernel, seed++);
+    const auto bias = random_vec(s.cout, seed++);
+    const BnParams bn(s.cout, seed);
+    seed += 4;
+    for (std::size_t batch : {1u, 3u, 64u}) {
+      const auto x = random_vec(batch * s.cin * s.n, seed++);
+      for (bool fused : {false, true}) {
+        const kernels::BnRelu epi = bn.view();
+        const kernels::BnRelu* epilogue = fused ? &epi : nullptr;
+        const auto run = [&](Isa tier, std::size_t threads) {
+          IsaCapGuard cap(tier);
+          kernels::IntraOpGuard intra(threads);
+          kernels::GemmScratch scratch;
+          std::vector<float> out(batch * s.cout * out_len,
+                                 std::numeric_limits<float>::quiet_NaN());
+          kernels::sgemm_conv(s.cout, out_len, batch, w.data(), bias.data(),
+                              x.data(), s.cin, s.n, s.kernel, 1, s.pad_left,
+                              out.data(), scratch, epilogue);
+          return out;
+        };
+        const auto ref = run(Isa::kAvx2, 1);
+        for (std::size_t threads : {1u, 2u, 4u})
+          expect_bit_equal(run(Isa::kAvx512, threads), ref,
+                           fused ? "avx512 vs avx2, fused" : "avx512 vs avx2");
+      }
+    }
+  }
+}
+
+TEST(ConvTiers, StridedConvEpilogueMatchesSeparatePass) {
+  // Strided convolutions run the blocked GEMM and apply the epilogue as a
+  // pass over the finished output; both must give BatchNorm+ReLU exactly.
+  const std::size_t cout = 6, cin = 3, kernel = 5, stride = 2, pad = 2;
+  const std::size_t n = 41, batch = 2;
+  const std::size_t out_len =
+      kernels::conv_output_length(n, kernel, stride, pad, pad);
+  const auto w = random_vec(cout * cin * kernel, 31);
+  const auto bias = random_vec(cout, 32);
+  const auto x = random_vec(batch * cin * n, 33);
+  const BnParams bn(cout, 34);
+  const kernels::BnRelu epi = bn.view();
+  for (Isa tier : host_tiers()) {
+    IsaCapGuard cap(tier);
+    kernels::GemmScratch scratch;
+    std::vector<float> plain(batch * cout * out_len);
+    std::vector<float> fused(plain.size());
+    kernels::sgemm_conv(cout, out_len, batch, w.data(), bias.data(), x.data(),
+                        cin, n, kernel, stride, pad, plain.data(), scratch);
+    kernels::sgemm_conv(cout, out_len, batch, w.data(), bias.data(), x.data(),
+                        cin, n, kernel, stride, pad, fused.data(), scratch,
+                        &epi);
+    for (std::size_t b = 0; b < batch; ++b)
+      for (std::size_t c = 0; c < cout; ++c)
+        for (std::size_t i = 0; i < out_len; ++i) {
+          const float v = plain[(b * cout + c) * out_len + i];
+          const float h = (v - bn.mean[c]) * bn.inv_std[c];
+          const float y = bn.gamma[c] * h + bn.beta[c];
+          plain[(b * cout + c) * out_len + i] = y > 0.0f ? y : 0.0f;
+        }
+    expect_bit_equal(fused, plain, "strided fused epilogue");
+  }
+}
+
+/// Every Conv1d -> BatchNorm1d -> ReLU block under `layer`.
+void collect_conv_blocks(Layer& layer, std::vector<Sequential*>& blocks) {
+  if (auto* res = dynamic_cast<Residual*>(&layer)) {
+    collect_conv_blocks(res->main(), blocks);
+    return;
+  }
+  auto* seq = dynamic_cast<Sequential*>(&layer);
+  if (seq == nullptr) return;
+  if (seq->size() == 3 && dynamic_cast<Conv1d*>(&seq->layer(0)) != nullptr &&
+      dynamic_cast<BatchNorm1d*>(&seq->layer(1)) != nullptr &&
+      dynamic_cast<ReLU*>(&seq->layer(2)) != nullptr) {
+    blocks.push_back(seq);
+    return;
+  }
+  for (std::size_t i = 0; i < seq->size(); ++i)
+    collect_conv_blocks(seq->layer(i), blocks);
+}
+
+/// The block's three layers run one by one (no fusion).
+Tensor layer_by_layer(Sequential& block, const Tensor& x) {
+  Workspace ws;
+  Tensor y = block.layer(0).forward(x, ws);
+  y = block.layer(1).forward(y, ws);
+  return block.layer(2).forward(y, ws);
+}
+
+void expect_tensor_memcmp_equal(const Tensor& a, const Tensor& b,
+                                const std::string& what) {
+  ASSERT_TRUE(a.same_shape(b)) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)), 0)
+      << what;
+  expect_bit_equal(a.flat(), b.flat(), what.c_str());
+}
+
+class FusedConvBlock : public ::testing::TestWithParam<core::CnnConfig> {};
+
+TEST_P(FusedConvBlock, EvalForwardMemcmpEqualToLayerByLayer) {
+  auto net = core::build_paper_cnn(GetParam());
+  std::vector<Sequential*> blocks;
+  collect_conv_blocks(*net, blocks);
+  ASSERT_EQ(blocks.size(), 5u);  // entry + 2 per residual block
+  Rng rng(77);
+  for (Sequential* block : blocks) {
+    // Non-trivial running statistics and affine parameters, so every
+    // term of the epilogue matters.
+    auto& bn = dynamic_cast<BatchNorm1d&>(block->layer(1));
+    for (float& v : bn.mutable_running_mean())
+      v = static_cast<float>(rng.uniform(-0.5, 0.5));
+    for (float& v : bn.mutable_running_var())
+      v = static_cast<float>(rng.uniform(0.05, 2.0));
+    for (float& v : bn.gamma().value.flat())
+      v = static_cast<float>(rng.uniform(-1.5, 1.5));
+    for (float& v : bn.beta().value.flat())
+      v = static_cast<float>(rng.uniform(-0.5, 0.5));
+    auto& conv = dynamic_cast<Conv1d&>(block->layer(0));
+    for (float& v : conv.bias().value.flat())
+      v = static_cast<float>(rng.uniform(-0.2, 0.2));
+  }
+  net->set_training(false);
+  std::uint64_t seed = 300;
+  for (Sequential* block : blocks) {
+    const auto& conv = dynamic_cast<const Conv1d&>(block->layer(0));
+    for (std::size_t batch : {1u, 3u}) {
+      const auto x = random_tensor({batch, conv.in_channels(), 75}, seed++);
+      for (Isa tier : host_tiers()) {
+        IsaCapGuard cap(tier);
+        const Tensor ref = layer_by_layer(*block, x);
+        for (std::size_t threads : {1u, 4u}) {
+          kernels::IntraOpGuard intra(threads);
+          kernels::ParallelGrainGuard grain(1);
+          Workspace ws;
+          expect_tensor_memcmp_equal(block->forward(x, ws), ref,
+                                     conv.name() + " fused");
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperConfigs, FusedConvBlock,
+    ::testing::Values(core::CnnConfig::paper(), core::CnnConfig::scaled()),
+    [](const ::testing::TestParamInfo<core::CnnConfig>& config) {
+      return "kernel" + std::to_string(config.param.kernel_size);
+    });
+
+TEST(FusedConvBlockSpecials, ReluSemanticsOnSignedZeroInfNan) {
+  // A 1x1 identity conv hands BatchNorm the input values as-is; even
+  // channels keep them (gamma 1, beta 0), odd ones negate them (gamma -1,
+  // beta -0), so the pre-activations include +0, -0, +Inf, -Inf and NaN.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  const std::size_t channels = 11;  // ragged for every tile
+  Sequential block;
+  block.emplace<Conv1d>(1, channels, 1, 1, 0);
+  block.emplace<BatchNorm1d>(channels);
+  block.emplace<ReLU>();
+  auto& conv = dynamic_cast<Conv1d&>(block.layer(0));
+  auto& bn = dynamic_cast<BatchNorm1d&>(block.layer(1));
+  conv.weight().value.fill(1.0f);
+  conv.bias().value.fill(0.0f);
+  for (std::size_t c = 0; c < channels; ++c) {
+    bn.gamma().value.at(c) = c % 2 == 0 ? 1.0f : -1.0f;
+    bn.beta().value.at(c) = c % 2 == 0 ? 0.0f : -0.0f;
+  }
+  block.set_training(false);
+  const std::vector<float> row = {0.0f, -0.0f, kInf, -kInf, kNan,
+                                  1.5f, -2.0f, 3.0f, 0.25f};
+  Tensor x({2, 1, row.size()});
+  for (std::size_t b = 0; b < 2; ++b)
+    std::copy(row.begin(), row.end(), x.data() + b * row.size());
+
+  // The pre-activations really contain every special value.
+  Workspace ws;
+  const Tensor pre = bn.forward(conv.forward(x, ws), ws);
+  const auto has = [&](auto pred) {
+    return std::any_of(pre.flat().begin(), pre.flat().end(), pred);
+  };
+  EXPECT_TRUE(has([](float v) { return v == 0.0f && !std::signbit(v); }));
+  EXPECT_TRUE(has([](float v) { return v == 0.0f && std::signbit(v); }));
+  EXPECT_TRUE(has([](float v) { return v == kInf; }));
+  EXPECT_TRUE(has([](float v) { return v == -kInf; }));
+  EXPECT_TRUE(has([](float v) { return std::isnan(v); }));
+
+  const Tensor ref = layer_by_layer(block, x);
+  for (float v : ref.flat()) {
+    EXPECT_FALSE(std::signbit(v)) << "ReLU must map -0 and negatives to +0";
+    EXPECT_FALSE(std::isnan(v)) << "ReLU must map NaN to +0";
+  }
+  for (Isa tier : host_tiers()) {
+    IsaCapGuard cap(tier);
+    Workspace fused_ws;
+    expect_tensor_memcmp_equal(block.forward(x, fused_ws), ref,
+                               "fused specials");
+  }
 }
 
 // ---------------------------------------------------------------------------

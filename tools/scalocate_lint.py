@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """scalocate custom lint: repo contracts no generic analyzer knows about.
 
-Four rules, each enforcing an invariant a previous PR established and that
+Five rules, each enforcing an invariant a previous PR established and that
 clang-tidy / compiler warnings cannot see:
 
   memory-order    std::memory_order uses are confined to an allowlisted set
@@ -19,6 +19,12 @@ clang-tidy / compiler warnings cannot see:
   header-using    headers contain no `using namespace` at namespace scope
                   (function-local is fine); a header-level using-directive
                   injects names into every includer.
+  isa-comdat      no two kernel TUs built for different ISAs (the baseline
+                  src/nn/kernels/gemm.cpp and each gemm_avx*.cpp) emit the
+                  same external-linkage template instantiation, directly or
+                  through the templates it instantiates: the linker keeps
+                  one COMDAT copy of each, and an AVX-512-encoded copy kept
+                  for an AVX2-only CPU is a SIGILL.
 
 Usage:  python3 tools/scalocate_lint.py [--root DIR] [--rule NAME]
 Exit status is non-zero iff any finding is reported. Run from anywhere;
@@ -342,6 +348,144 @@ def check_header_using(root: Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: isa-comdat
+# ---------------------------------------------------------------------------
+
+# The kernel TUs compiled with different -m flags (see CMakeLists.txt).
+ISA_TU_BASELINE = "src/nn/kernels/gemm.cpp"
+ISA_TU_GLOB = "src/nn/kernels/gemm_avx*.cpp"
+
+_INCLUDE = re.compile(r'#\s*include\s*"([^"]+)"')
+# `name<args>(`: a call with explicit template arguments.
+_TEMPLATE_CALL = re.compile(r"\b([A-Za-z_]\w*)\s*<([^<>;{}]*)>\s*\(")
+
+
+def _isa_tus(root: Path) -> list[Path]:
+    tus = sorted(root.glob(ISA_TU_GLOB))
+    baseline = root / ISA_TU_BASELINE
+    return ([baseline] if baseline.is_file() else []) + tus
+
+
+def _included_headers(root: Path, path: Path) -> list[Path]:
+    """Repo headers `path` includes, transitively (resolved under src/)."""
+    seen: list[Path] = []
+    stack = [path]
+    while stack:
+        for inc in _INCLUDE.findall(stack.pop().read_text()):
+            hdr = root / "src" / inc
+            if hdr.is_file() and hdr not in seen:
+                seen.append(hdr)
+                stack.append(hdr)
+    return seen
+
+
+def _matching(text: str, i: int, open_ch: str, close_ch: str) -> int:
+    """Index just past the bracket that closes the one at text[i]."""
+    depth = 0
+    for j in range(i, len(text)):
+        if text[j] == open_ch:
+            depth += 1
+        elif text[j] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return len(text)
+
+
+def _split_args(args: str) -> list[str]:
+    return [a.strip() for a in args.split(",")] if args.strip() else []
+
+
+def _function_templates(text: str) -> dict[str, list[tuple[list[str], str]]]:
+    """Maps name -> [(template parameter names, body)] for every
+    external-linkage function template defined in `text` (comments and
+    strings already blanked). Class templates and `static` function
+    templates (internal linkage) are skipped."""
+    out: dict[str, list[tuple[list[str], str]]] = {}
+    for m in re.finditer(r"\btemplate\s*<", text):
+        params_end = _matching(text, m.end() - 1, "<", ">")
+        params = [re.findall(r"\w+", p)[-1]
+                  for p in _split_args(text[m.end():params_end - 1])
+                  if re.findall(r"\w+", p)]
+        head = re.match(r"[^;{(]*\(", text[params_end:])
+        if head is None or re.match(r"\s*(struct|class|union|using)\b",
+                                    text[params_end:]):
+            continue
+        decl = head.group(0)
+        name = re.findall(r"([A-Za-z_]\w*)\s*\($", decl)
+        if not name or re.search(r"\bstatic\b", decl):
+            continue
+        open_paren = params_end + len(decl) - 1
+        after = _matching(text, open_paren, "(", ")")
+        body_start = re.match(r"[^;{]*", text[after:]).end() + after
+        if body_start >= len(text) or text[body_start] != "{":
+            continue  # declaration only
+        body = text[body_start:_matching(text, body_start, "{", "}")]
+        out.setdefault(name[0], []).append((params, body))
+    return out
+
+
+def _evaluate(arg: str, binding: dict[str, str]) -> str:
+    expr = re.sub(r"\b[A-Za-z_]\w*\b",
+                  lambda t: binding.get(t.group(0), t.group(0)), arg)
+    if re.fullmatch(r"[\d\s+\-*/()]+", expr):
+        return str(eval(expr.replace("/", "//")))  # integer arithmetic only
+    return re.sub(r"\s+", " ", expr)
+
+
+def _instantiations(text: str, templates, binding=None) -> set[tuple]:
+    binding = binding or {}
+    calls = set()
+    for m in _TEMPLATE_CALL.finditer(text):
+        if m.group(1) in templates:
+            calls.add((m.group(1), tuple(_evaluate(a, binding)
+                                         for a in _split_args(m.group(2)))))
+    return calls
+
+
+def _instantiation_closure(text: str, templates) -> set[tuple]:
+    """Every (template, args) the TU text instantiates, following the
+    instantiated templates' bodies."""
+    done: set[tuple] = set()
+    todo = list(_instantiations(text, templates))
+    while todo:
+        inst = todo.pop()
+        if inst in done:
+            continue
+        done.add(inst)
+        name, args = inst
+        for params, body in templates.get(name, ()):
+            binding = dict(zip(params, args))
+            todo.extend(_instantiations(body, templates, binding) - done)
+    return done
+
+
+def check_isa_comdat(root: Path) -> list[str]:
+    emitted: dict[tuple, list[str]] = {}
+    for tu in _isa_tus(root):
+        rel = tu.relative_to(root).as_posix()
+        templates: dict[str, list] = {}
+        for hdr in _included_headers(root, tu):
+            for name, defs in _function_templates(
+                    _strip_comments_and_strings(hdr.read_text())).items():
+                templates.setdefault(name, []).extend(defs)
+        text = _strip_comments_and_strings(tu.read_text())
+        for inst in _instantiation_closure(text, templates):
+            emitted.setdefault(inst, []).append(rel)
+    findings = []
+    for (name, args), tus in sorted(emitted.items()):
+        if len(tus) < 2:
+            continue
+        findings.append(
+            f"{tus[-1]}: [isa-comdat] {name}<{', '.join(args)}> is "
+            f"instantiated by {', '.join(tus)}; the linker keeps one COMDAT "
+            f"copy, so one ISA's code can run on a CPU without it. Give "
+            f"each TU its own tile or template arguments, or make the "
+            f"template static")
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -350,6 +494,7 @@ RULES = {
     "error-taxonomy": check_error_taxonomy,
     "metric-drift": check_metric_drift,
     "header-using": check_header_using,
+    "isa-comdat": check_isa_comdat,
 }
 
 
