@@ -104,9 +104,9 @@ inline LatencySummary summarize_latencies(
 // twin of its stdout report, so CI can gate on regressions instead of
 // reconstructing the perf trajectory from prose. Layout contract (consumed
 // by bench_check and the perf-regression CI job): a top-level object with
-// "bench" (string), "scale" (double), "host" (kernel ISA tier and nproc,
-// stamped by write_bench_json), and bench-specific sections; latency
-// summaries always spell out p50_ms/p99_ms/traces_per_s.
+// "bench" (string), "scale" (double), "host" (kernel ISA tier, nproc and
+// build type, stamped by write_bench_json), and bench-specific sections;
+// latency summaries always spell out p50_ms/p99_ms/traces_per_s.
 // ---------------------------------------------------------------------------
 
 /// Output path for a bench snapshot: $SCALOCATE_BENCH_DIR/BENCH_<name>.json
@@ -120,15 +120,18 @@ inline std::string bench_json_path(const std::string& name) {
 /// Closes and writes the snapshot, then echoes the path on stdout (the CI
 /// jobs grep for the "wrote " line to know emission happened). The
 /// writer's top-level object must still be open: this stamps the host
-/// class into it as "host": {"isa", "nproc"}, so snapshots from an AVX-512
-/// box and an AVX2 box are never compared blind. "isa" is the kernel tier
-/// the run dispatched to (nn::kernels::isa_name()).
+/// class into it as "host": {"isa", "nproc", "build_type"}, so snapshots
+/// from an AVX-512 box and an AVX2 box, or from a Debug and a Release
+/// build, are never compared blind. "isa" is the kernel tier the run
+/// dispatched to (nn::kernels::isa_name()); "build_type" is the bench's
+/// CMAKE_BUILD_TYPE.
 inline void write_bench_json(const std::string& name,
                              obs::JsonWriter& writer) {
   writer.key("host").begin_object();
   writer.kv("isa", nn::kernels::isa_name());
   writer.kv("nproc", static_cast<std::uint64_t>(
                          std::thread::hardware_concurrency()));
+  writer.kv("build_type", SCALOCATE_BUILD_TYPE);
   writer.end_object();
   writer.end_object();
   const std::string path = bench_json_path(name);

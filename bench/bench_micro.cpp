@@ -6,7 +6,8 @@
 //
 // Besides the console report, every run is collected into BENCH_micro.json
 // (custom main below): per-case times plus a flat "gflops" map keyed by
-// case name — the fields the perf-regression CI job gates on — and, when
+// case name — the fields the perf-regression CI job gates on; under
+// --benchmark_repetitions each key holds the repetition median — and, when
 // the library was built with SCALOCATE_PROFILE, the global registry's
 // kernel FLOP counters and per-shape timing histograms.
 //
@@ -349,7 +350,9 @@ BENCHMARK(BM_NormalizedCrossCorrelation);
 class SnapshotReporter : public benchmark::ConsoleReporter {
  public:
   struct Case {
-    std::string name;
+    std::string name;       ///< as printed, e.g. "BM_X/4/real_time_median"
+    std::string run_name;   ///< without the aggregate suffix
+    std::string aggregate;  ///< "mean"/"median"/...; empty for a repetition
     std::int64_t iterations = 0;
     double real_time_ns = 0.0;  ///< adjusted per-iteration real time
     double cpu_time_ns = 0.0;
@@ -361,6 +364,8 @@ class SnapshotReporter : public benchmark::ConsoleReporter {
       if (run.error_occurred) continue;
       Case c;
       c.name = run.benchmark_name();
+      c.run_name = run.run_name.str();
+      if (run.run_type == Run::RT_Aggregate) c.aggregate = run.aggregate_name;
       c.iterations = run.iterations;
       c.real_time_ns = run.GetAdjustedRealTime();
       c.cpu_time_ns = run.GetAdjustedCPUTime();
@@ -369,6 +374,19 @@ class SnapshotReporter : public benchmark::ConsoleReporter {
       cases.push_back(std::move(c));
     }
     benchmark::ConsoleReporter::ReportRuns(runs);
+  }
+
+  /// The run that stands for `run_name` in the snapshot: its "_median"
+  /// aggregate under --benchmark_repetitions, otherwise its first (only)
+  /// repetition. Null when the case did not run.
+  const Case* representative(const std::string& run_name) const {
+    const Case* first = nullptr;
+    for (const Case& c : cases) {
+      if (c.run_name != run_name) continue;
+      if (c.aggregate == "median") return &c;
+      if (!first && c.aggregate.empty()) first = &c;
+    }
+    return first;
   }
 
   std::vector<Case> cases;
@@ -401,10 +419,14 @@ int main(int argc, char** argv) {
   json.end_array();
   // Flat name -> GFLOP/s map: the stable paths the CI thresholds reference
   // (case names contain '/' but never '.', so dotted-path lookup works).
+  // One key per case, from its representative run (the repetition median
+  // when there are repetitions).
   json.key("gflops").begin_object();
-  for (const auto& c : reporter.cases)
+  for (const auto& c : reporter.cases) {
+    if (reporter.representative(c.run_name) != &c) continue;
     for (const auto& [name, value] : c.counters)
-      if (name == "GFLOP/s") json.kv(c.name, value);
+      if (name == "GFLOP/s") json.kv(c.run_name, value);
+  }
   json.end_object();
   // Intra-op scaling curves: wall-clock GFLOP/s of the *Threads benches at
   // each thread budget, plus speedup ratios vs their 1-thread run. The
@@ -412,11 +434,10 @@ int main(int argc, char** argv) {
   // here, so calibrate thresholds for the machine that enforces them.
   {
     const auto wall_gflops = [&](const std::string& name) {
-      for (const auto& c : reporter.cases) {
-        if (c.name != name || c.real_time_ns <= 0.0) continue;
-        for (const auto& [cname, value] : c.counters)
-          if (cname == "flops") return value / c.real_time_ns;
-      }
+      const auto* c = reporter.representative(name);
+      if (!c || c->real_time_ns <= 0.0) return 0.0;
+      for (const auto& [cname, value] : c->counters)
+        if (cname == "flops") return value / c->real_time_ns;
       return 0.0;
     };
     json.key("scaling").begin_object();

@@ -65,9 +65,9 @@ struct EngineConfig {
   double watchdog_p99_multiple = 0.0;
   /// Completed jobs required before the watchdog trusts the p99 baseline.
   std::size_t watchdog_min_samples = 32;
-  /// Intra-op kernel threads per job (nn/kernels/parallel.hpp): how far
-  /// one job's GEMM/conv calls may fan out across the process compute
-  /// pool. Default 1 = throughput mode (many concurrent jobs, one core
+  /// Intra-op threads per job (nn/kernels/parallel.hpp): how many
+  /// compute-pool threads one job's window scoring may use (as tile
+  /// workers, see core/sliding_window.hpp). Default 1 = throughput mode (many concurrent jobs, one core
   /// each — the `workers` knob is the parallelism). Set >1 (or 0 for the
   /// process default / SCALOCATE_THREADS) for latency mode: few big
   /// traces, each saturating the machine. Detections are bit-identical
@@ -79,7 +79,7 @@ struct EngineConfig {
   /// model gets a runtime::WindowBatcher, and streams opened through
   /// Sessions feed a wait-free ingest ring instead; the batcher coalesces
   /// up to this many ready windows across ALL of the model's sessions into
-  /// one score_window_batch GEMM per flush. Detections are bit-identical
+  /// one score_window_batch call per flush. Detections are bit-identical
   /// either way (batch composition cannot change a window's score), so the
   /// knob trades nothing but latency shape for fleet throughput.
   std::size_t max_batch_windows = 0;
@@ -87,10 +87,12 @@ struct EngineConfig {
   /// is flushed anyway — the added-latency bound a quiet fleet pays.
   /// Ignored when batching is off.
   std::uint64_t batch_linger_us = 200;
-  /// Intra-op kernel fan-out of the shared batch GEMM. 0 (default) =
-  /// process default (SCALOCATE_THREADS): unlike per-job scoring, the
-  /// batcher IS the model's shared compute path, so it defaults wide.
-  /// Ignored when batching is off.
+  /// Tile workers per batch flush: each flush scores its windows as
+  /// 32-window tiles on up to this many compute-pool threads (see
+  /// core/sliding_window.hpp). 0 (default) = process default
+  /// (SCALOCATE_THREADS): unlike per-job scoring, the batcher IS the
+  /// model's shared compute path, so it defaults wide. Ignored when
+  /// batching is off.
   std::size_t batch_intra_op_threads = 0;
   /// Telemetry sink (must outlive the Engine). When set, every registered
   /// model gets per-model instruments — `engine.<model>.requests`,

@@ -1,18 +1,19 @@
 #include "core/sliding_window.hpp"
 
+#include <algorithm>
+#include <atomic>
+
 #include "common/error.hpp"
+#include "nn/kernels/parallel.hpp"
 
 namespace scalocate::core {
 
 SlidingWindowClassifier::SlidingWindowClassifier(const nn::Sequential& model,
                                                  std::size_t window,
-                                                 std::size_t stride,
-                                                 std::size_t batch_size)
-    : model_(model), window_(window), stride_(stride), batch_size_(batch_size) {
+                                                 std::size_t stride)
+    : model_(model), window_(window), stride_(stride) {
   detail::require(window_ >= 16, "SlidingWindowClassifier: window too small");
   detail::require(stride_ >= 1, "SlidingWindowClassifier: stride must be >= 1");
-  detail::require(batch_size_ >= 1,
-                  "SlidingWindowClassifier: batch_size must be >= 1");
   detail::require(!model_.training(),
                   "SlidingWindowClassifier: model must be in eval mode "
                   "(call set_training(false) before classification)");
@@ -30,22 +31,44 @@ void SlidingWindowClassifier::score_batch(const nn::Tensor& inputs,
     scores_out[i] = logits.at(i, 1) - logits.at(i, 0);
 }
 
+void SlidingWindowClassifier::for_each_tile(
+    std::size_t count, nn::Workspace& ws,
+    const std::function<void(std::size_t, std::size_t, nn::Workspace&)>& tile)
+    const {
+  const std::size_t tiles = (count + kScoreTile - 1) / kScoreTile;
+  const auto run = [&](std::size_t t, nn::Workspace& lane) {
+    const std::size_t first = t * kScoreTile;
+    tile(first, std::min(kScoreTile, count - first), lane);
+  };
+  const std::size_t workers =
+      tiles < 2 || nn::kernels::in_parallel_region()
+          ? 1
+          : std::min(nn::kernels::intra_op_threads(), tiles);
+  if (workers <= 1) {
+    for (std::size_t t = 0; t < tiles; ++t) run(t, ws);
+    return;
+  }
+  // Whole tiles are the work unit: each worker runs complete forward
+  // passes in its own lane, so the forked region is entered once per call
+  // rather than once per layer. Lanes are grown here, before the region.
+  ws.lane(workers - 1);
+  std::atomic<std::size_t> next{0};
+  nn::kernels::parallel_for(workers, [&](std::size_t w) {
+    nn::Workspace& lane = ws.lane(w);
+    for (std::size_t t = next++; t < tiles; t = next++) run(t, lane);
+  });
+}
+
 void SlidingWindowClassifier::score_into(std::span<const float> trace_samples,
                                          std::span<float> scores_out,
                                          nn::Workspace& ws) const {
   const std::size_t n_windows = num_windows(trace_samples.size());
   detail::require(scores_out.size() >= n_windows,
                   "SlidingWindowClassifier::score_into: scores_out too small");
-
-  for (std::size_t base = 0; base < n_windows; base += batch_size_) {
-    const std::size_t count = std::min(batch_size_, n_windows - base);
-    score_window_batch(
-        count,
-        [&](std::size_t i) {
-          return trace_samples.subspan((base + i) * stride_, window_);
-        },
-        scores_out.data() + base, ws);
-  }
+  score_window_batch(
+      n_windows,
+      [&](std::size_t i) { return trace_samples.subspan(i * stride_, window_); },
+      scores_out.data(), ws);
 }
 
 SlidingWindowResult SlidingWindowClassifier::classify(

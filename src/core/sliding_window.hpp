@@ -6,11 +6,27 @@
 // connected block, where the recurrent localization pattern is stronger
 // than in the softmax probabilities.
 //
-// The hot path is zero-copy: score_into standardizes each window straight
-// from the trace span into the workspace's reusable batch tensor (no
-// per-window staging buffer) and writes scores into caller-owned storage.
-// CoLocator, StreamingLocator, and LocatorService all score through this
-// one path, so they share the kernel backend's batched GEMM inference.
+// score_window_batch is the one scoring path and the one place that
+// parallelises it. CoLocator (via score_into), StreamingLocator, and
+// runtime::WindowBatcher all hand it their windows. It cuts them into
+// tiles of kScoreTile windows and, per tile, standardizes each window
+// straight from the caller's span into a workspace staging tensor (no
+// per-window copies) and runs the whole forward pass:
+//
+//   tiles >= 2, intra-op budget > 1,      min(budget, tiles) workers on
+//   caller not in a parallel region  -->  kernels::parallel_for; each takes
+//                                         the next tile from a shared
+//                                         counter and scores it in its own
+//                                         workspace lane, nested kernels
+//                                         running inline
+//   otherwise                        -->  tiles in order on the caller; a
+//                                         lone tile may still fan its conv
+//                                         layers out over the budget
+//
+// A window's score does not depend on its batchmates, so scores are
+// bit-identical for every count, budget and tile schedule. Because tiles
+// run concurrently, `window_at` must be safe to call from several threads
+// at once (a pure read of the caller's samples).
 //
 // The classifier never mutates the model: it requires an eval-mode network
 // and routes every forward pass through a caller-owned (or per-classifier)
@@ -18,6 +34,7 @@
 // classifiers (see runtime/locator_service).
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -38,10 +55,13 @@ struct SlidingWindowResult {
 
 class SlidingWindowClassifier {
  public:
-  /// `batch_size` windows are classified per forward pass. `model` must be
-  /// in eval mode (set_training(false)) and must outlive the classifier.
+  /// Windows per forward pass: the unit score_window_batch schedules.
+  static constexpr std::size_t kScoreTile = 32;
+
+  /// `model` must be in eval mode (set_training(false)) and must outlive
+  /// the classifier.
   SlidingWindowClassifier(const nn::Sequential& model, std::size_t window,
-                          std::size_t stride, std::size_t batch_size = 64);
+                          std::size_t stride);
 
   /// Number of windows a trace of n_samples yields (0 when too short).
   std::size_t num_windows(std::size_t n_samples) const {
@@ -49,10 +69,9 @@ class SlidingWindowClassifier {
   }
 
   /// Scores every window of `trace_samples` into `scores_out`, which must
-  /// hold num_windows(trace_samples.size()) floats. Windows are
-  /// standardized directly into the workspace's batch tensor — no
-  /// intermediate copies. Thread-safe for concurrent calls with distinct
-  /// workspaces.
+  /// hold num_windows(trace_samples.size()) floats, with one
+  /// score_window_batch call. Thread-safe for concurrent calls with
+  /// distinct workspaces.
   void score_into(std::span<const float> trace_samples,
                   std::span<float> scores_out, nn::Workspace& ws) const;
 
@@ -73,34 +92,44 @@ class SlidingWindowClassifier {
   void score_batch(const nn::Tensor& inputs, float* scores_out,
                    nn::Workspace& ws) const;
 
-  /// One batch of the zero-copy path, shared by the offline (score_into)
-  /// and streaming (StreamingLocator) callers so the staging contract
-  /// cannot diverge between them: standardizes windows
-  /// `window_at(0..count)` — each a window()-long span — straight into the
-  /// workspace's staging tensor and scores them into `scores_out`. The
-  /// staging tensor reuses its allocation across calls (only a changed
-  /// batch count re-views it).
+  /// The zero-copy scoring path shared by the offline (score_into),
+  /// streaming (StreamingLocator) and batched (WindowBatcher) callers:
+  /// standardizes windows `window_at(0..count)` — each a window()-long
+  /// span — into workspace staging tensors and scores them into
+  /// `scores_out`, tile by tile (see the header comment for the schedule).
+  /// `window_at` may be called concurrently. Staging tensors and worker
+  /// lanes of `ws` keep their allocations across calls.
   template <typename WindowAt>
   void score_window_batch(std::size_t count, WindowAt&& window_at,
                           float* scores_out, nn::Workspace& ws) const {
-    nn::Tensor& inputs = ws.staging();
-    if (inputs.rank() != 3 || inputs.dim(0) != count || inputs.dim(1) != 1 ||
-        inputs.dim(2) != window_)
-      inputs.resize({count, 1, window_});
-    for (std::size_t i = 0; i < count; ++i)
-      nn::kernels::standardize(window_at(i), inputs.data() + i * window_);
-    score_batch(inputs, scores_out, ws);
+    for_each_tile(count, ws, [&](std::size_t first, std::size_t n,
+                                 nn::Workspace& lane) {
+      nn::Tensor& inputs = lane.staging();
+      if (inputs.rank() != 3 || inputs.dim(0) != n || inputs.dim(1) != 1 ||
+          inputs.dim(2) != window_)
+        inputs.resize({n, 1, window_});
+      for (std::size_t i = 0; i < n; ++i)
+        nn::kernels::standardize(window_at(first + i),
+                                 inputs.data() + i * window_);
+      score_batch(inputs, scores_out + first, lane);
+    });
   }
 
   std::size_t window() const { return window_; }
   std::size_t stride() const { return stride_; }
-  std::size_t batch_size() const { return batch_size_; }
 
  private:
+  /// Runs tile(first, n, lane) over [0, count) in kScoreTile pieces,
+  /// either in order on the caller with lane = `ws` or on parallel
+  /// workers, each with its own lane of `ws`.
+  void for_each_tile(
+      std::size_t count, nn::Workspace& ws,
+      const std::function<void(std::size_t, std::size_t, nn::Workspace&)>&
+          tile) const;
+
   const nn::Sequential& model_;
   std::size_t window_;
   std::size_t stride_;
-  std::size_t batch_size_;
   mutable nn::Workspace scratch_;
 };
 

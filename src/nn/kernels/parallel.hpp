@@ -1,9 +1,12 @@
 // Intra-op threading layer of the kernel backend.
 //
-// The GEMM/conv drivers in gemm.cpp statically partition their macro-loops
-// into chunks and run them through parallel_for(), which fans the chunks
-// out over a process-wide compute ThreadPool (the calling thread executes
-// chunk 0 in place). The partitioning is deterministic — a pure function
+// Two callers fork through it. core::SlidingWindowClassifier runs whole
+// 32-window scoring tiles as chunks, one fork per batch of windows. The
+// GEMM/conv drivers in gemm.cpp statically partition their macro-loops
+// into chunks, one fork per layer call (training, and scoring a single
+// tile). parallel_for() fans the chunks out over a process-wide compute
+// ThreadPool (the calling thread executes chunk 0 in place). The
+// kernels' partitioning is deterministic — a pure function
 // of the problem shape and the caller's thread budget — and every chunk
 // writes a disjoint slice of C with the per-element summation order
 // unchanged, so results are bit-identical to the single-threaded kernels

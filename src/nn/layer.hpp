@@ -47,7 +47,8 @@ struct KernelScratch {
 /// needs. Slots are keyed by layer identity, so a single workspace serves a
 /// whole module tree (Sequential/Residual children included). Reusing one
 /// workspace across calls avoids reallocation; it is NOT safe to share one
-/// workspace between concurrent forward passes.
+/// workspace between concurrent forward passes — concurrent passes on
+/// behalf of one caller each take their own lane().
 class Workspace {
  public:
   struct Slot {
@@ -57,8 +58,38 @@ class Workspace {
     std::vector<std::size_t> indices;  ///< argmax positions (max pooling)
   };
 
+  Workspace() = default;
+  // Like GemmScratch, a copy starts without lanes: they are transient
+  // per-worker scratch regrown on demand.
+  Workspace(const Workspace& other)
+      : slots_(other.slots_),
+        kernel_scratch_(other.kernel_scratch_),
+        staging_(other.staging_) {}
+  Workspace& operator=(const Workspace& other) {
+    slots_ = other.slots_;
+    kernel_scratch_ = other.kernel_scratch_;
+    staging_ = other.staging_;
+    extra_lanes_.clear();
+    return *this;
+  }
+  Workspace(Workspace&&) = default;
+  Workspace& operator=(Workspace&&) = default;
+
   Slot& slot(const Layer* layer) { return slots_[layer]; }
   void clear() { slots_.clear(); }
+
+  /// Per-worker workspace for callers that run several forward passes at
+  /// once (tile-parallel window scoring): lane(0) is this workspace
+  /// itself; higher lanes are grown on demand and reused across calls.
+  /// Growing is not thread-safe: call lane(n - 1) before a parallel
+  /// region, after which lane(i < n) only reads and each worker uses only
+  /// its own.
+  Workspace& lane(std::size_t index) {
+    if (index == 0) return *this;
+    while (extra_lanes_.size() < index)
+      extra_lanes_.push_back(std::make_unique<Workspace>());
+    return *extra_lanes_[index - 1];
+  }
 
   /// Kernel-backend pack buffers (im2col panels, GEMM packing). Owned here
   /// so const, thread-shared layers stay allocation- and state-free.
@@ -73,6 +104,7 @@ class Workspace {
   std::unordered_map<const Layer*, Slot> slots_;
   KernelScratch kernel_scratch_;
   Tensor staging_;
+  std::vector<std::unique_ptr<Workspace>> extra_lanes_;
 };
 
 /// Base class of all layers/modules. Forward is const: it may read

@@ -100,9 +100,9 @@ struct ServiceConfig {
   /// count to guarantee headroom for other models (per-model concurrency
   /// limit).
   std::size_t max_concurrency = 0;
-  /// Intra-op thread budget for the kernels inside each job (see
-  /// nn/kernels/parallel.hpp): how many compute-pool threads ONE job's
-  /// GEMM/conv calls may fan out across. Default 1 — a service saturated
+  /// Intra-op thread budget inside each job (see nn/kernels/parallel.hpp):
+  /// how many compute-pool threads ONE job's window scoring may use as
+  /// tile workers. Default 1 — a service saturated
   /// with many small jobs already uses every core via `workers`, and
   /// nested fan-out would oversubscribe the box. Raise it (or set 0 =
   /// process default / SCALOCATE_THREADS) when the workload is a few big
@@ -127,7 +127,7 @@ struct ServiceConfig {
   std::size_t max_batch_windows = 0;
   /// Flush-latency bound for a partially filled batch, in microseconds.
   std::uint64_t batch_linger_us = 200;
-  /// Intra-op fan-out of the shared batch GEMM (0 = process default).
+  /// Tile workers per batch flush (0 = process default).
   std::size_t batch_intra_op_threads = 0;
   /// Telemetry sink. When set, the service registers per-service
   /// instruments under `metric_prefix` and records request counts, queue

@@ -38,11 +38,13 @@ StreamingLocator::StreamingLocator(const core::CoLocator& locator,
                                    StreamingConfig config)
     : locator_(require_trained(locator)),
       classifier_(locator.model(), locator.config().params.n_inf,
-                  locator.config().params.stride, config.batch_size) {
+                  locator.config().params.stride) {
   const core::PipelineParams& params = locator.config().params;
   window_ = params.n_inf;
   stride_ = params.stride;
   batch_size_ = config.batch_size;
+  detail::require(batch_size_ >= 1,
+                  "StreamingLocator: batch_size must be >= 1");
   nan_policy_ = config.nan_policy;
 
   float th = config.threshold;

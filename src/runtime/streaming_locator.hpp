@@ -60,7 +60,8 @@ struct StreamingConfig {
     kSanitize,
   };
   NanPolicy nan_policy = NanPolicy::kReject;
-  /// Windows scored per CNN forward pass.
+  /// Ready windows handed to one score_window_batch call (which runs
+  /// them as 32-window tiles).
   std::size_t batch_size = 64;
   /// Decision threshold override. NaN = inherit: the locator's configured
   /// threshold when fixed, otherwise its calibration-trace Otsu threshold.
@@ -121,7 +122,7 @@ class StreamingLocator {
   // The scoring-core half of the ingest/scoring split: a scheduler (see
   // runtime::WindowBatcher) appends pre-validated samples, asks how many
   // windows are ready, scores them TOGETHER with other sessions' windows
-  // through one shared score_window_batch GEMM, and hands the scores back.
+  // through one shared score_window_batch call, and hands the scores back.
   // Because every CNN row is computed independently of its batch neighbors
   // (the batch-composition invariance proven by the offline/streaming
   // parity suite), routing scores through accept_scores() yields

@@ -18,11 +18,6 @@ const core::CoLocator& require_trained(const core::CoLocator& locator) {
   return locator;
 }
 
-std::size_t require_batch_cap(std::size_t cap) {
-  detail::require(cap > 0, "WindowBatcher: max_batch_windows must be > 0");
-  return cap;
-}
-
 }  // namespace
 
 BatchMetrics BatchMetrics::resolve(obs::Registry& registry,
@@ -143,9 +138,10 @@ WindowBatcher::WindowBatcher(const core::CoLocator& locator,
                              BatchConfig config)
     : locator_(require_trained(locator)),
       classifier_(locator.model(), locator.config().params.n_inf,
-                  locator.config().params.stride,
-                  require_batch_cap(config.max_batch_windows)),
+                  locator.config().params.stride),
       config_(std::move(config)) {
+  detail::require(config_.max_batch_windows > 0,
+                  "WindowBatcher: max_batch_windows must be > 0");
   if (config_.registry)
     metrics_ = BatchMetrics::resolve(*config_.registry, config_.metric_prefix);
   scheduler_ = std::thread([this] { run(); });
@@ -341,7 +337,7 @@ bool WindowBatcher::tick() {
     }
   }
 
-  // 5. Flush: ONE shared score_window_batch GEMM over every staged window,
+  // 5. Flush: ONE shared score_window_batch call over every staged window,
   // then demux the scores back to their streams in staging order.
   if (flush) {
     rows_.clear();

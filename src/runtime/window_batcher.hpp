@@ -6,15 +6,21 @@
 // batch-1 efficiency. The batcher turns window scoring into a shared,
 // batched resource:
 //
-//   session threads          scheduler thread              shared compute
-//   ---------------          ----------------              --------------
-//   feed() -> SpscRing  -->  drain rings into each         one
-//   (wait-free ingest,       stream's scoring core,        score_window_batch
-//    never takes a lock)     stage ready windows      -->  GEMM per tick,
-//                            across ALL sessions           IntraOpGuard
-//                       <--  demux scores per stream,      fan-out
-//   poll()/finish()          advance each pipeline,
-//                            deliver detections
+//   session threads        scheduler thread             compute pool
+//   ---------------        ----------------             ------------
+//   feed() -> SpscRing --> drain rings into each        one
+//   (wait-free ingest,     stream's scoring core,       score_window_batch
+//    never takes a lock)   stage ready windows     -->  per flush, under
+//                          across ALL sessions          IntraOpGuard: up to
+//                     <--  demux scores per stream,     intra_op_threads
+//   poll()/finish()        advance each pipeline,       tile workers, each
+//                          deliver detections           scoring whole
+//                                                       32-window tiles
+//
+// A flush forks once: its tile workers each run complete forward passes
+// (standardize, every conv block, GAP and the FC head) in their own
+// workspace lane, instead of forking and joining every conv layer while
+// the rest of the network runs serially on the scheduler thread.
 //
 // Flush policy: a staged batch is scored when it reaches
 // `max_batch_windows` (full), when a stream that signalled end-of-stream
@@ -69,9 +75,8 @@ namespace scalocate::runtime {
 class WindowBatcher;
 
 struct BatchConfig {
-  /// Windows coalesced into one shared GEMM at most. The knee of the GEMM
-  /// efficiency curve (see BENCH_fleet.json) — bigger batches amortize
-  /// better but hold early windows longer.
+  /// Windows coalesced into one flush at most. Bigger batches give the
+  /// tile workers more tiles to share but hold early windows longer.
   std::size_t max_batch_windows = 256;
   /// How long a partially filled batch may wait for more windows before it
   /// is flushed anyway. The latency bound a quiet fleet pays; 0 = flush
@@ -80,11 +85,12 @@ struct BatchConfig {
   /// Per-stream ingest ring capacity in samples (rounded up to a power of
   /// two). Bounds fleet memory: a full ring back-pressures its producer.
   std::size_t ingest_capacity = 4096;
-  /// Intra-op kernel fan-out of the shared batch GEMM (see
-  /// nn/kernels/parallel.hpp). 0 = process default (SCALOCATE_THREADS):
-  /// unlike per-job scoring, the batcher IS the model's shared compute
-  /// path, so it defaults wide. Detections are bit-identical at every
-  /// setting.
+  /// Tile workers per flush (see core/sliding_window.hpp): a flush's
+  /// windows are scored as 32-window tiles on up to this many
+  /// compute-pool threads, the scheduler thread included. 0 = process
+  /// default (SCALOCATE_THREADS): unlike per-job scoring, the batcher IS
+  /// the model's shared compute path, so it defaults wide. Detections are
+  /// bit-identical at every setting.
   std::size_t intra_op_threads = 0;
   /// Telemetry sink (must outlive the batcher). Null = telemetry off.
   obs::Registry* registry = nullptr;
@@ -94,8 +100,8 @@ struct BatchConfig {
 
 /// Resolved batcher instrument set (README "Observability" lists them).
 struct BatchMetrics {
-  obs::Counter* coalesced_windows = nullptr;  ///< windows scored via shared GEMMs
-  obs::Counter* batches = nullptr;            ///< shared GEMM flushes
+  obs::Counter* coalesced_windows = nullptr;  ///< windows scored via flushes
+  obs::Counter* batches = nullptr;            ///< shared batch flushes
   obs::Counter* flush_full = nullptr;         ///< flushes at max_batch_windows
   obs::Counter* flush_linger = nullptr;       ///< flushes forced by the linger
   obs::Counter* flush_eof = nullptr;          ///< flushes forced by finish()

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/dataset.hpp"
 #include "core/model.hpp"
 #include "core/sliding_window.hpp"
+#include "nn/kernels/parallel.hpp"
 #include "nn/loss.hpp"
 
 namespace scalocate::core {
@@ -121,7 +123,7 @@ TEST(SlidingWindow, NumWindowsEdgeCases) {
 TEST(SlidingWindow, ScoreIntoMatchesClassify) {
   auto net = build_paper_cnn(CnnConfig::scaled());
   net->set_training(false);
-  SlidingWindowClassifier c(*net, 192, 48, /*batch_size=*/7);
+  SlidingWindowClassifier c(*net, 192, 48);
   const auto trace = random_trace(2000, 11);
 
   nn::Workspace ws_a, ws_b;
@@ -160,19 +162,111 @@ TEST(SlidingWindow, ZeroCopyPathMatchesExplicitStaging) {
     EXPECT_FLOAT_EQ(fast.scores[i], manual[i]) << "window " << i;
 }
 
+/// Scores windows [first, first + count) of `trace` with one
+/// score_window_batch call.
+std::vector<float> score_range(const SlidingWindowClassifier& c,
+                               const std::vector<float>& trace,
+                               std::size_t first, std::size_t count,
+                               nn::Workspace& ws) {
+  const std::span<const float> samples(trace);
+  std::vector<float> scores(count, -1e30f);
+  c.score_window_batch(
+      count,
+      [&](std::size_t i) {
+        return samples.subspan((first + i) * c.stride(), c.window());
+      },
+      scores.data(), ws);
+  return scores;
+}
+
+/// Each window scored alone: the reference every batch shape must match.
+std::vector<float> score_singly(const SlidingWindowClassifier& c,
+                                const std::vector<float>& trace,
+                                std::size_t count) {
+  nn::kernels::IntraOpGuard one_thread(1);
+  nn::Workspace ws;
+  std::vector<float> scores(count);
+  for (std::size_t i = 0; i < count; ++i)
+    scores[i] = score_range(c, trace, i, 1, ws)[0];
+  return scores;
+}
+
+bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+constexpr std::size_t kCounts[] = {1, 7, 31, 32, 33, 64, 65, 256};
+constexpr std::size_t kBudgets[] = {1, 2, 4, 8};
+
 TEST(SlidingWindow, BatchSizeDoesNotChangeScores) {
   // Batch grouping is an implementation detail: each row is independent,
-  // so any batch size must give identical scores.
+  // so windows scored 1, 7 or 64 at a time give identical scores.
   auto net = build_paper_cnn(CnnConfig::scaled());
   net->set_training(false);
   const auto trace = random_trace(1800, 17);
-  SlidingWindowClassifier c1(*net, 192, 48, 1);
-  SlidingWindowClassifier c64(*net, 192, 48, 64);
-  const auto a = c1.classify(trace);
-  const auto b = c64.classify(trace);
-  ASSERT_EQ(a.scores.size(), b.scores.size());
-  for (std::size_t i = 0; i < a.scores.size(); ++i)
-    EXPECT_FLOAT_EQ(a.scores[i], b.scores[i]);
+  SlidingWindowClassifier c(*net, 192, 48);
+  const std::size_t n = c.num_windows(trace.size());
+  const auto whole = c.classify(trace).scores;
+  ASSERT_EQ(whole.size(), n);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+    nn::Workspace ws;
+    std::vector<float> scores;
+    for (std::size_t base = 0; base < n; base += batch) {
+      const auto part = score_range(c, trace, base, std::min(batch, n - base), ws);
+      scores.insert(scores.end(), part.begin(), part.end());
+    }
+    EXPECT_TRUE(bit_equal(scores, whole)) << "batch " << batch;
+  }
+}
+
+TEST(SlidingWindow, TiledBatchBitIdenticalAtEveryCountAndBudget) {
+  // Counts straddle the 32-window tile (one short tile, exact tiles, a
+  // ragged last tile); budgets cover the serial path, fewer workers than
+  // tiles, and more workers than the box has cores.
+  auto net = build_paper_cnn(CnnConfig::scaled());
+  net->set_training(false);
+  SlidingWindowClassifier c(*net, 192, 48);
+  ASSERT_EQ(SlidingWindowClassifier::kScoreTile, 32u);
+  const auto trace = random_trace(192 + 48 * 255, 23);
+  const auto reference = score_singly(c, trace, 256);
+  for (const std::size_t budget : kBudgets) {
+    nn::kernels::IntraOpGuard intra(budget);
+    nn::Workspace ws;  // reused across counts: lanes and staging regrow
+    for (const std::size_t count : kCounts) {
+      const auto scores = score_range(c, trace, 0, count, ws);
+      EXPECT_TRUE(bit_equal(scores, std::vector<float>(
+                                        reference.begin(),
+                                        reference.begin() +
+                                            static_cast<std::ptrdiff_t>(count))))
+          << "count " << count << " budget " << budget;
+    }
+  }
+}
+
+TEST(SlidingWindow, TiledBatchBitIdenticalInsideParallelRegion) {
+  // A call from inside a parallel_for chunk must run its tiles inline
+  // (no nested fork) and still match. Each chunk scores a different
+  // window range with its own workspace, concurrently.
+  auto net = build_paper_cnn(CnnConfig::scaled());
+  net->set_training(false);
+  SlidingWindowClassifier c(*net, 192, 48);
+  const auto trace = random_trace(192 + 48 * 255, 29);
+  const auto reference = score_singly(c, trace, 256);
+  constexpr std::size_t kChunks = 4, kPerChunk = 64;
+  for (const std::size_t budget : kBudgets) {
+    nn::kernels::IntraOpGuard intra(budget);
+    std::vector<nn::Workspace> ws(kChunks);
+    std::vector<std::vector<float>> scores(kChunks);
+    nn::kernels::parallel_for(kChunks, [&](std::size_t chunk) {
+      EXPECT_TRUE(nn::kernels::in_parallel_region());
+      scores[chunk] =
+          score_range(c, trace, chunk * kPerChunk, kPerChunk, ws[chunk]);
+    });
+    std::vector<float> all;
+    for (const auto& s : scores) all.insert(all.end(), s.begin(), s.end());
+    EXPECT_TRUE(bit_equal(all, reference)) << "budget " << budget;
+  }
 }
 
 }  // namespace
