@@ -11,6 +11,7 @@
 // including its own two-stage calibration is what (d) and bench_hits
 // measure.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -75,7 +76,17 @@ int main() {
     seg_cfg.median_filter_k = median_k;
     seg_cfg.window_size = n_inf;
     seg_cfg.expected_co_length = static_cast<std::size_t>(co_len);
-    return core::Segmenter(seg_cfg).segment(swc);
+    if (std::isnan(seg_cfg.threshold) && !swc.scores.empty())
+      seg_cfg.threshold = core::Segmenter::otsu_threshold(swc.scores);
+    // No aligner: every detection sits at its raw rising edge.
+    core::Segmenter seg(seg_cfg, stride);
+    std::vector<core::Detection> found;
+    seg.push(swc.scores, eval.samples, 0, found);
+    seg.finish(eval.samples, 0, found);
+    std::vector<std::size_t> edges;
+    edges.reserve(found.size());
+    for (const auto& d : found) edges.push_back(d.raw_edge);
+    return edges;
   };
 
   // --- (a) stride sweep -----------------------------------------------------
@@ -84,10 +95,10 @@ int main() {
     TextTable table({"s", "windows", "hits", "mean err", "classify s"});
     for (std::size_t s : {24u, 48u, 96u, 192u}) {
       bench::Timer t;
-      const auto seg =
+      const auto edges =
           run_pipeline(base_params.n_inf, s, 0, base_params.threshold);
       const double secs = t.seconds();
-      const auto score = oracle_hits(seg.co_starts, truth, tol, co_len);
+      const auto score = oracle_hits(edges, truth, tol, co_len);
       table.add_row({std::to_string(s),
                      std::to_string((eval.samples.size() - base_params.n_inf) / s + 1),
                      format_percent(score.hit_rate(), 1),
@@ -102,23 +113,23 @@ int main() {
     std::printf("--- (b) segmentation: median k and threshold (oracle offset) ---\n");
     TextTable table({"median k", "threshold", "hits", "mean err", "#detections"});
     for (std::size_t k : {1u, 3u, 7u, 11u, 15u}) {
-      const auto seg =
+      const auto edges =
           run_pipeline(base_params.n_inf, base_params.stride, k,
                        base_params.threshold);
-      const auto score = oracle_hits(seg.co_starts, truth, tol, co_len);
+      const auto score = oracle_hits(edges, truth, tol, co_len);
       table.add_row({std::to_string(k), "0 (margin)",
                      format_percent(score.hit_rate(), 1),
                      format_fixed(score.mean_abs_error, 1),
-                     std::to_string(seg.co_starts.size())});
+                     std::to_string(edges.size())});
     }
     {
-      const auto seg =
+      const auto edges =
           run_pipeline(base_params.n_inf, base_params.stride, 0,
                        std::numeric_limits<float>::quiet_NaN());
-      const auto score = oracle_hits(seg.co_starts, truth, tol, co_len);
+      const auto score = oracle_hits(edges, truth, tol, co_len);
       table.add_row({"auto", "Otsu", format_percent(score.hit_rate(), 1),
                      format_fixed(score.mean_abs_error, 1),
-                     std::to_string(seg.co_starts.size())});
+                     std::to_string(edges.size())});
     }
     std::printf("%s\n", table.render().c_str());
   }
@@ -130,9 +141,9 @@ int main() {
                 base_params.n_train);
     TextTable table({"Ninf", "hits", "mean err"});
     for (std::size_t n_inf : {128u, 192u, 256u, 320u}) {
-      const auto seg =
+      const auto edges =
           run_pipeline(n_inf, base_params.stride, 0, base_params.threshold);
-      const auto score = oracle_hits(seg.co_starts, truth, n_inf, co_len);
+      const auto score = oracle_hits(edges, truth, n_inf, co_len);
       table.add_row({std::to_string(n_inf),
                      format_percent(score.hit_rate(), 1),
                      format_fixed(score.mean_abs_error, 1)});
@@ -152,9 +163,9 @@ int main() {
                      format_fixed(s.mean_abs_error, 1)});
     }
     {
-      const auto seg = run_pipeline(base_params.n_inf, base_params.stride, 0,
-                                    base_params.threshold);
-      const auto s = oracle_hits(seg.co_starts, truth, tol, co_len);
+      const auto edges = run_pipeline(base_params.n_inf, base_params.stride,
+                                      0, base_params.threshold);
+      const auto s = oracle_hits(edges, truth, tol, co_len);
       table.add_row({"off (oracle offset only)",
                      format_percent(s.hit_rate(), 1),
                      format_fixed(s.mean_abs_error, 1)});

@@ -47,20 +47,6 @@ std::vector<float> median_filter(std::span<const float> xs, std::size_t k) {
   return out;
 }
 
-std::vector<std::size_t> rising_edges(std::span<const float> xs) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 1; i < xs.size(); ++i)
-    if (xs[i - 1] < 0.0f && xs[i] >= 0.0f) out.push_back(i);
-  return out;
-}
-
-std::vector<std::size_t> falling_edges(std::span<const float> xs) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 1; i < xs.size(); ++i)
-    if (xs[i - 1] >= 0.0f && xs[i] < 0.0f) out.push_back(i);
-  return out;
-}
-
 std::vector<float> moving_average(std::span<const float> xs, std::size_t k) {
   detail::require(k >= 1, "signal::moving_average: k must be >= 1");
   const std::size_t n = xs.size();

@@ -1,10 +1,10 @@
 // 1-D signal processing primitives.
 //
 // These implement the classic DSP blocks the paper's pipeline is built
-// from: the Segmentation stage (threshold -> square wave -> median filter
-// -> rising-edge extraction, Section III-D) and the correlation machinery
-// used by the baseline locators (matched filter [10] and waveform
-// matching [11]).
+// from: the Segmentation stage's threshold square wave and median filter
+// (Section III-D; core::Segmenter runs them incrementally and adds the
+// rising-edge scan) and the correlation machinery used by the baseline
+// locators (matched filter [10] and waveform matching [11]).
 #pragma once
 
 #include <cstddef>
@@ -31,13 +31,6 @@ float median_of(std::span<const float> xs, std::vector<float>& scratch);
 /// neighbors), which keeps the output length equal to the input length.
 /// k must be odd and >= 1.
 std::vector<float> median_filter(std::span<const float> xs, std::size_t k);
-
-/// Indices i such that xs[i-1] < 0 <= xs[i] (a -1 -> +1 transition in a
-/// square wave). Returns the index of the first +1 sample of each edge.
-std::vector<std::size_t> rising_edges(std::span<const float> xs);
-
-/// Indices i such that xs[i-1] >= 0 > xs[i].
-std::vector<std::size_t> falling_edges(std::span<const float> xs);
 
 /// Moving average of window k (k >= 1); same-length output, borders shrink.
 std::vector<float> moving_average(std::span<const float> xs, std::size_t k);

@@ -63,15 +63,35 @@ std::size_t CoLocator::fine_search_radius() const {
              : config_.params.n_inf + 4 * config_.params.stride;
 }
 
-SegmenterConfig CoLocator::segmenter_config() const {
+SegmenterConfig CoLocator::segmenter_config(
+    float threshold, std::span<const float> trace_scores) const {
+  if (std::isnan(threshold)) threshold = config_.params.threshold;
+  if (std::isnan(threshold))
+    threshold = trace_scores.empty()
+                    ? calibrated_threshold_
+                    : Segmenter::otsu_threshold(
+                          trace_scores, config_.params.otsu_clip_percentile);
   SegmenterConfig seg_cfg;
-  seg_cfg.threshold = config_.params.threshold;
+  seg_cfg.threshold = threshold;
   seg_cfg.median_filter_k = config_.params.median_filter_k;
   seg_cfg.window_size = config_.params.n_inf;
   seg_cfg.expected_co_length = static_cast<std::size_t>(mean_co_length_);
   seg_cfg.merge_gap_windows = config_.params.merge_gap_windows;
   seg_cfg.otsu_clip_percentile = config_.params.otsu_clip_percentile;
   return seg_cfg;
+}
+
+Segmenter CoLocator::segmenter(float threshold,
+                               std::span<const float> trace_scores) const {
+  const SegmenterConfig seg_cfg = segmenter_config(threshold, trace_scores);
+  detail::require(!std::isnan(seg_cfg.threshold),
+                  "CoLocator::segmenter: no usable decision threshold; set "
+                  "one explicitly or in params.threshold, or train() so a "
+                  "calibrated threshold exists");
+  const double min_gap = config_.min_separation_fraction * mean_co_length_;
+  return Segmenter(seg_cfg, config_.params.stride,
+                   min_gap > 0.0 ? static_cast<std::size_t>(min_gap) : 0,
+                   this);
 }
 
 std::size_t CoLocator::refine_in_region(std::span<const float> region,
@@ -86,24 +106,6 @@ std::size_t CoLocator::refine_in_region(std::span<const float> region,
   for (std::size_t i = 1; i < ncc.size(); ++i)
     if (ncc[i] > ncc[best]) best = i;
   return region_begin + best;
-}
-
-std::size_t CoLocator::refine_start(std::span<const float> trace_samples,
-                                    std::size_t coarse_start) const {
-  if (fine_template_.empty()) return coarse_start;
-  const std::size_t len = fine_template_.size();
-  const auto radius = static_cast<std::ptrdiff_t>(fine_search_radius());
-  const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(
-      0, static_cast<std::ptrdiff_t>(coarse_start) - radius);
-  const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(
-      static_cast<std::ptrdiff_t>(trace_samples.size()) -
-          static_cast<std::ptrdiff_t>(len),
-      static_cast<std::ptrdiff_t>(coarse_start) + radius);
-  if (hi < lo) return coarse_start;
-
-  const std::span<const float> region(trace_samples.data() + lo,
-                                      static_cast<std::size_t>(hi - lo) + len);
-  return refine_in_region(region, static_cast<std::size_t>(lo));
 }
 
 namespace {
@@ -155,80 +157,57 @@ void CoLocator::calibrate(const trace::CipherAcquisition& ciphers) {
     cal_trace.insert(cal_trace.end(), s.begin(), s.end());
   }
 
-  // Stage 1: raw rising edges (no correction).
+  // Stage 1: raw rising edges (no correction, no duplicate suppression).
   nn::Workspace ws;
   SlidingWindowClassifier classifier(*model_, config_.params.n_inf,
                                      config_.params.stride);
   const SlidingWindowResult swc = classifier.classify(cal_trace, ws);
-  const Segmentation seg = Segmenter(segmenter_config()).segment(swc);
-  calibrated_threshold_ = seg.threshold_used;
-
+  const SegmenterConfig seg_cfg = segmenter_config(
+      std::numeric_limits<float>::quiet_NaN(), swc.scores);
+  calibrated_threshold_ = seg_cfg.threshold;
+  // The start of every edge, in rising-edge order, from the same machine
+  // locate() runs. Without an aligner a start is its raw edge; with one,
+  // the current offsets and the template snap apply.
+  const auto starts = [&](const CoLocator* aligner) {
+    Segmenter seg(seg_cfg, config_.params.stride, /*min_gap=*/0, aligner);
+    std::vector<Detection> found;
+    seg.push(swc.scores, cal_trace, 0, found);
+    seg.finish(cal_trace, 0, found);
+    std::sort(found.begin(), found.end(),
+              [](const Detection& a, const Detection& b) {
+                return a.raw_edge < b.raw_edge;
+              });
+    std::vector<std::size_t> out;
+    out.reserve(found.size());
+    for (const Detection& d : found) out.push_back(d.start);
+    return out;
+  };
   const auto half_co = static_cast<std::ptrdiff_t>(mean_co_length_ / 2.0);
-  coarse_offset_ = median_offset(seg.co_starts, truth, half_co);
+  coarse_offset_ = median_offset(starts(nullptr), truth, half_co);
 
   // Stage 2: apply the coarse correction, refine with the template, and
-  // measure the residual.
+  // measure the residual (fine_offset_ is still 0 here).
   if (!config_.fine_align) return;
-  std::vector<std::size_t> refined;
-  refined.reserve(seg.co_starts.size());
-  for (std::size_t raw : seg.co_starts) {
-    const std::ptrdiff_t corrected =
-        static_cast<std::ptrdiff_t>(raw) - coarse_offset_;
-    const std::size_t base =
-        corrected < 0 ? 0 : static_cast<std::size_t>(corrected);
-    refined.push_back(refine_start(cal_trace, base));
-  }
-  fine_offset_ = median_offset(refined, truth, half_co);
-}
-
-CoLocator::Located CoLocator::locate_detailed(
-    std::span<const float> trace_samples, nn::Workspace& ws) const {
-  detail::require(trained_, "CoLocator::locate: train() or load_model() first");
-  Located out;
-  SlidingWindowClassifier classifier(*model_, config_.params.n_inf,
-                                     config_.params.stride);
-  out.swc = classifier.classify(trace_samples, ws);
-  out.segmentation = Segmenter(segmenter_config()).segment(out.swc);
-
-  out.co_starts.reserve(out.segmentation.co_starts.size());
-  for (std::size_t raw : out.segmentation.co_starts) {
-    // Coarse correction -> template refinement -> residual correction.
-    std::ptrdiff_t pos = static_cast<std::ptrdiff_t>(raw) - coarse_offset_;
-    std::size_t start = pos < 0 ? 0 : static_cast<std::size_t>(pos);
-    if (config_.fine_align) {
-      start = refine_start(trace_samples, start);
-      pos = static_cast<std::ptrdiff_t>(start) - fine_offset_;
-      start = pos < 0 ? 0 : static_cast<std::size_t>(pos);
-    }
-    out.co_starts.push_back(start);
-  }
-  std::sort(out.co_starts.begin(), out.co_starts.end());
-
-  // Duplicate suppression: a CO cannot restart within a fraction of its own
-  // length, so later detections inside that horizon are echoes of the same
-  // plateau (classifier glitches re-crossing the threshold).
-  if (config_.min_separation_fraction > 0.0 && mean_co_length_ > 0.0) {
-    const auto min_gap = static_cast<std::size_t>(
-        config_.min_separation_fraction * mean_co_length_);
-    std::vector<std::size_t> deduped;
-    for (std::size_t s : out.co_starts) {
-      if (deduped.empty() || s >= deduped.back() + min_gap)
-        deduped.push_back(s);
-    }
-    out.co_starts = std::move(deduped);
-  }
-  return out;
-}
-
-CoLocator::Located CoLocator::locate_detailed(
-    std::span<const float> trace_samples) const {
-  nn::Workspace ws;
-  return locate_detailed(trace_samples, ws);
+  fine_offset_ = median_offset(starts(this), truth, half_co);
 }
 
 std::vector<std::size_t> CoLocator::locate(std::span<const float> trace_samples,
                                            nn::Workspace& ws) const {
-  return locate_detailed(trace_samples, ws).co_starts;
+  detail::require(trained_, "CoLocator::locate: train() or load_model() first");
+  SlidingWindowClassifier classifier(*model_, config_.params.n_inf,
+                                     config_.params.stride);
+  const SlidingWindowResult swc = classifier.classify(trace_samples, ws);
+  if (swc.scores.empty()) return {};
+  // Every score, then end of trace with the whole trace resident.
+  Segmenter seg =
+      segmenter(std::numeric_limits<float>::quiet_NaN(), swc.scores);
+  std::vector<Detection> found;
+  seg.push(swc.scores, trace_samples, 0, found);
+  seg.finish(trace_samples, 0, found);
+  std::vector<std::size_t> starts;
+  starts.reserve(found.size());
+  for (const Detection& d : found) starts.push_back(d.start);
+  return starts;
 }
 
 std::vector<std::size_t> CoLocator::locate(

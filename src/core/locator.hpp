@@ -10,15 +10,18 @@
 // the CPA's "minor aggregation over time".
 //
 // Inference phase (Figure 1, right): sliding-window classification ->
-// segmentation -> alignment. Inference is const and thread-safe: the model
-// is only read, and all per-call scratch lives in an nn::Workspace, so one
-// trained CoLocator can serve concurrent locate() calls (see
-// runtime/locator_service) or drive incremental detection (see
-// runtime/streaming_locator).
+// segmentation -> alignment. locate() scores the whole trace, then runs
+// core::Segmenter (the one implementation of everything after scoring) to
+// the end of the trace; the streaming runtime (runtime/streaming_locator)
+// runs the same Segmenter as scores arrive. Inference is const and
+// thread-safe: the model is only read, and all per-call scratch lives in
+// an nn::Workspace, so one trained CoLocator can serve concurrent locate()
+// calls (see runtime/locator_service).
 #pragma once
 
+#include <limits>
 #include <memory>
-#include <optional>
+#include <span>
 
 #include "core/alignment.hpp"
 #include "core/dataset.hpp"
@@ -69,16 +72,6 @@ class CoLocator {
                                   nn::Workspace& ws) const;
   std::vector<std::size_t> locate(std::span<const float> trace_samples) const;
 
-  /// Full diagnostics: swc scores, square wave, filtered wave, raw starts.
-  struct Located {
-    SlidingWindowResult swc;
-    Segmentation segmentation;
-    std::vector<std::size_t> co_starts;  ///< offset-corrected
-  };
-  Located locate_detailed(std::span<const float> trace_samples,
-                          nn::Workspace& ws) const;
-  Located locate_detailed(std::span<const float> trace_samples) const;
-
   /// Locates and cuts aligned segments in one call.
   AlignedTraces locate_and_align(std::span<const float> trace_samples,
                                  std::size_t segment_length) const;
@@ -124,16 +117,29 @@ class CoLocator {
   const nn::Sequential& model() const { return *model_; }
   const LocatorConfig& config() const { return config_; }
 
-  // --- hooks for the streaming runtime (runtime/streaming_locator) ---------
+  // --- segmentation (offline locate and runtime/streaming_locator) -------
 
-  /// The segmenter configuration locate_detailed uses (threshold, median
-  /// filter size, expected CO length), derived from params + calibration.
-  SegmenterConfig segmenter_config() const;
+  /// The segmentation settings derived from params + calibration, with the
+  /// decision threshold resolved: `threshold` when set, else
+  /// params.threshold, else Otsu over `trace_scores` (offline: the trace's
+  /// own scores), else the calibrated threshold (streaming: no whole-trace
+  /// scores exist online). NaN only when all of these are unavailable.
+  SegmenterConfig segmenter_config(
+      float threshold = std::numeric_limits<float>::quiet_NaN(),
+      std::span<const float> trace_scores = {}) const;
+
+  /// The Segmenter both inference paths run: segmenter_config's settings,
+  /// this locator's calibration offsets and fine template snap, and
+  /// duplicate suppression at min_separation_fraction of the mean CO
+  /// length. Throws when no decision threshold can be resolved.
+  Segmenter segmenter(
+      float threshold = std::numeric_limits<float>::quiet_NaN(),
+      std::span<const float> trace_scores = {}) const;
 
   /// Decision threshold measured on the calibration trace (Otsu). Only
   /// meaningful after train(); NaN before. Streaming inference falls back
   /// to this when the configured threshold is automatic (NaN), since Otsu
-  /// over a full trace is unavailable online.
+  /// over a full trace is unavailable online (see segmenter_config).
   float calibrated_threshold() const { return calibrated_threshold_; }
 
   /// Fine-alignment template (empty when fine_align is off or training
@@ -143,7 +149,7 @@ class CoLocator {
   /// Effective fine-alignment search radius around a corrected start.
   std::size_t fine_search_radius() const;
 
-  /// Template-snap core shared by the offline and streaming paths: `region`
+  /// Template snap of the Segmenter (and the perf harness): `region`
   /// holds the absolute trace samples [region_begin, region_begin +
   /// region.size()) covering every candidate template placement
   /// [lo, hi + template length); returns the absolute start with the best
@@ -154,8 +160,6 @@ class CoLocator {
  private:
   void calibrate(const trace::CipherAcquisition& ciphers);
   void build_fine_template(const trace::CipherAcquisition& ciphers);
-  std::size_t refine_start(std::span<const float> trace_samples,
-                           std::size_t coarse_start) const;
 
   LocatorConfig config_;
   std::unique_ptr<nn::Sequential> model_;

@@ -67,7 +67,9 @@ struct PipelineParams {
   /// expected CO length and the stride.
   std::size_t median_filter_k = 0;
   /// Fixed decision threshold on the linear class-1 score; NaN selects the
-  /// automatic percentile-midpoint threshold.
+  /// automatic Otsu threshold (histogram clipped per otsu_clip_percentile):
+  /// over the trace's own scores offline, over the calibration trace's
+  /// scores when streaming.
   float threshold = std::numeric_limits<float>::quiet_NaN();
   /// Plateau-split merging: low runs of at most this many windows between
   /// two high runs are bridged (one plateau, one CO). Hardens segmentation

@@ -1,15 +1,14 @@
 #include "core/segmentation.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/signal.hpp"
 #include "common/stats.hpp"
+#include "core/locator.hpp"
 
 namespace scalocate::core {
-
-Segmenter::Segmenter(SegmenterConfig config) : config_(config) {}
 
 std::size_t Segmenter::auto_median_k(std::size_t plateau_windows) {
   // ~half the plateau width bridges interior dips and removes glitch runs
@@ -89,49 +88,177 @@ float Segmenter::otsu_threshold(std::span<const float> scores,
   return lo + static_cast<float>((static_cast<double>(best_bin) + 0.5) / scale);
 }
 
-Segmentation Segmenter::segment(const SlidingWindowResult& swc) const {
-  Segmentation out;
-  if (swc.scores.empty()) return out;
+Segmenter::Segmenter(const SegmenterConfig& config, std::size_t stride,
+                     std::size_t min_gap, const CoLocator* aligner)
+    : threshold_(config.threshold),
+      median_k_(resolve_median_k(config, stride, config.window_size)),
+      half_(median_k_ / 2),
+      merge_gap_(config.merge_gap_windows),
+      stride_(stride),
+      min_gap_(min_gap),
+      aligner_(aligner) {
+  detail::require(median_k_ % 2 == 1,
+                  "Segmenter: median filter size must be odd");
+  if (aligner_ == nullptr) return;
+  const bool fine_align = aligner_->config().fine_align;
+  coarse_ = aligner_->coarse_offset();
+  fine_ = fine_align ? aligner_->fine_offset() : 0;
+  tmpl_len_ = fine_align ? aligner_->fine_template().size() : 0;
+  radius_ = tmpl_len_ > 0 ? aligner_->fine_search_radius() : 0;
+}
 
-  // --- threshold (Th) ------------------------------------------------------
-  float threshold = config_.threshold;
-  if (std::isnan(threshold))
-    threshold = otsu_threshold(swc.scores, config_.otsu_clip_percentile);
-  out.threshold_used = threshold;
-  out.square_wave = signal::threshold_square_wave(swc.scores, threshold);
+void Segmenter::reset() {
+  windows_ = 0;
+  square_.clear();
+  sq_base_ = 0;
+  filt_next_ = 0;
+  prev_filt_ = 0.0f;
+  last_fall_.reset();
+  raw_edges_.clear();
+  pending_.clear();
+  last_kept_.reset();
+}
 
-  // --- median filter (MF) --------------------------------------------------
-  const std::size_t k = resolve_median_k(config_, swc.stride, swc.window);
-  detail::require(k % 2 == 1, "Segmenter: median filter size must be odd");
-  out.median_k_used = k;
-  out.filtered = signal::median_filter(out.square_wave, k);
+void Segmenter::push(std::span<const float> scores,
+                     std::span<const float> samples, std::size_t samples_begin,
+                     std::vector<Detection>& out) {
+  for (const float score : scores)
+    square_.push_back(score >= threshold_ ? 1.0f : -1.0f);
+  windows_ += scores.size();
+  filter(/*eof=*/false);
+  refine(samples, samples_begin, /*eof=*/false);
+  release(/*eof=*/false, out);
+}
 
-  // --- rising edges -> sample positions ------------------------------------
-  // A plateau that starts at window 0 has no -1 -> +1 transition; treat a
-  // high beginning as a CO start at sample 0's window.
-  if (!out.filtered.empty() && out.filtered.front() > 0.0f) {
-    out.co_starts.push_back(0);
-  }
-  // One scan tracks the most recent falling edge so plateau-split merging
-  // can suppress a rising edge whose preceding low run is at most
-  // merge_gap_windows long (an interior dip, not a new CO). With the knob
-  // at 0 this reduces exactly to signal::rising_edges. The streaming
-  // runtime (StreamingLocator::on_filtered_value) mirrors this scan
-  // incrementally; keep the two in lockstep.
-  std::size_t last_fall = 0;
-  bool have_fall = false;
-  for (std::size_t i = 1; i < out.filtered.size(); ++i) {
-    const float prev = out.filtered[i - 1];
-    const float cur = out.filtered[i];
-    if (prev >= 0.0f && cur < 0.0f) {
-      last_fall = i;
-      have_fall = true;
-    } else if (prev < 0.0f && cur >= 0.0f) {
-      if (have_fall && i - last_fall <= config_.merge_gap_windows) continue;
-      out.co_starts.push_back(i * swc.stride);
+void Segmenter::finish(std::span<const float> samples,
+                       std::size_t samples_begin, std::vector<Detection>& out) {
+  filter(/*eof=*/true);
+  refine(samples, samples_begin, /*eof=*/true);
+  release(/*eof=*/true, out);
+}
+
+void Segmenter::filter(bool eof) {
+  while (true) {
+    const std::size_t i = filt_next_;
+    std::size_t hi;
+    if (eof) {
+      if (i >= windows_) break;
+      hi = std::min(windows_ - 1, i + half_);  // right border: shrink window
+    } else {
+      if (i + half_ >= windows_) break;  // right neighbors not yet scored
+      hi = i + half_;
+    }
+    const std::size_t lo = i >= half_ ? i - half_ : 0;
+    neighborhood_.assign(
+        square_.begin() + static_cast<std::ptrdiff_t>(lo - sq_base_),
+        square_.begin() + static_cast<std::ptrdiff_t>(hi - sq_base_) + 1);
+    const float value = signal::median_of(neighborhood_, median_scratch_);
+
+    // Rising edges become CO starts unless plateau-split merging bridges
+    // the preceding low run. A plateau that starts at window 0 has no
+    // -1 -> +1 transition: a high beginning is a CO start at sample 0.
+    if (i == 0) {
+      if (value > 0.0f) raw_edges_.push_back(0);
+    } else if (prev_filt_ >= 0.0f && value < 0.0f) {
+      last_fall_ = i;
+    } else if (prev_filt_ < 0.0f && value >= 0.0f) {
+      if (!(last_fall_.has_value() && i - *last_fall_ <= merge_gap_))
+        raw_edges_.push_back(i * stride_);
+    }
+    prev_filt_ = value;
+    ++filt_next_;
+
+    // Drop square values no later neighborhood can reach.
+    const std::size_t keep_from = filt_next_ >= half_ ? filt_next_ - half_ : 0;
+    while (sq_base_ < keep_from) {
+      square_.pop_front();
+      ++sq_base_;
     }
   }
-  return out;
+}
+
+void Segmenter::refine(std::span<const float> samples,
+                       std::size_t samples_begin, bool eof) {
+  const std::size_t head = samples_begin + samples.size();
+  while (!raw_edges_.empty()) {
+    const std::size_t raw = raw_edges_.front();
+    const std::int64_t corrected = static_cast<std::int64_t>(raw) - coarse_;
+    const std::size_t base =
+        corrected < 0 ? 0 : static_cast<std::size_t>(corrected);
+
+    std::size_t start = base;
+    if (tmpl_len_ > 0) {
+      // Before end of trace, wait until the whole search region
+      // [base - radius, base + radius + len) has arrived: then the
+      // trace-end clamp (hi <= L - len) cannot bind, because the final
+      // length L is at least the current head.
+      if (!eof && head < base + radius_ + tmpl_len_) break;
+      const std::size_t lo = base > radius_ ? base - radius_ : 0;
+      if (head >= lo + tmpl_len_) {  // some placement fits before the end
+        const std::size_t hi = std::min(head - tmpl_len_, base + radius_);
+        detail::require(lo >= samples_begin,
+                        "Segmenter: search region starts before the "
+                        "resident samples (see oldest_needed)");
+        start = aligner_->refine_in_region(
+            samples.subspan(lo - samples_begin, hi - lo + tmpl_len_), lo);
+      }
+    }
+    const std::int64_t final_start = static_cast<std::int64_t>(start) - fine_;
+    const Pending p{
+        final_start < 0 ? 0 : static_cast<std::size_t>(final_start), raw};
+    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), p,
+                                     [](const Pending& a, const Pending& b) {
+                                       return a.start < b.start;
+                                     }),
+                    p);
+    raw_edges_.pop_front();
+  }
+}
+
+std::int64_t Segmenter::start_lower_bound(std::size_t raw_edge) const {
+  // Smallest start an edge at (or after) raw_edge can map to: coarse
+  // correction, at most `radius` leftwards template snap, then the fine
+  // residual. Clamps at 0 only raise the true value.
+  return static_cast<std::int64_t>(raw_edge) - coarse_ -
+         static_cast<std::int64_t>(radius_) - fine_;
+}
+
+void Segmenter::release(bool eof, std::vector<Detection>& out) {
+  std::int64_t horizon = std::numeric_limits<std::int64_t>::max();
+  if (!eof) {
+    // Edges the median filter has not confirmed yet start at or after
+    // window filt_next_; unrefined queued edges are earlier, and their
+    // bounds are monotone, so the queue front dominates.
+    horizon = start_lower_bound(filt_next_ * stride_);
+    if (!raw_edges_.empty())
+      horizon = std::min(horizon, start_lower_bound(raw_edges_.front()));
+  }
+  std::size_t released = 0;
+  for (; released < pending_.size(); ++released) {
+    const Pending& p = pending_[released];
+    if (static_cast<std::int64_t>(p.start) >= horizon) break;
+    // A CO cannot restart within a fraction of its own length, so a later
+    // start inside that gap is an echo of the same plateau (classifier
+    // glitches re-crossing the threshold); the earlier one is kept.
+    if (last_kept_.has_value() && p.start < *last_kept_ + min_gap_) continue;
+    out.push_back(Detection{p.start, p.raw_edge});
+    last_kept_ = p.start;
+  }
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(released));
+}
+
+std::size_t Segmenter::oldest_needed() const {
+  // The left end of the search region of the earliest edge still to be
+  // refined: the queue front, or the next edge the filter may confirm.
+  std::int64_t oldest = static_cast<std::int64_t>(filt_next_ * stride_) -
+                        coarse_ - static_cast<std::int64_t>(radius_);
+  if (!raw_edges_.empty()) {
+    const std::int64_t base = std::max<std::int64_t>(
+        0, static_cast<std::int64_t>(raw_edges_.front()) - coarse_);
+    oldest = std::min(oldest, base - static_cast<std::int64_t>(radius_));
+  }
+  return oldest < 0 ? 0 : static_cast<std::size_t>(oldest);
 }
 
 }  // namespace scalocate::core

@@ -1,7 +1,5 @@
 #include "nn/pooling.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 #include "nn/kernels/pointwise.hpp"
 
@@ -50,85 +48,6 @@ Tensor GlobalAvgPool1d::backward(const Tensor& grad_output, Workspace& ws) {
     }
   }
   return grad_input;
-}
-
-MaxPool1d::MaxPool1d(std::size_t kernel_size, std::size_t stride)
-    : kernel_size_(kernel_size),
-      stride_(stride > 0 ? stride : kernel_size) {
-  detail::require(kernel_size_ >= 1, "MaxPool1d: kernel_size must be >= 1");
-}
-
-std::size_t MaxPool1d::output_length(std::size_t n) const {
-  detail::require(n >= kernel_size_, "MaxPool1d: input shorter than kernel");
-  return (n - kernel_size_) / stride_ + 1;
-}
-
-Tensor MaxPool1d::forward(const Tensor& input, Workspace& ws) const {
-  detail::require(input.rank() == 3,
-                  "MaxPool1d::forward: expected [B, C, N], got " +
-                      input.shape_string());
-  const std::size_t batch = input.dim(0);
-  const std::size_t channels = input.dim(1);
-  const std::size_t n = input.dim(2);
-  const std::size_t out_len = output_length(n);
-
-  Workspace::Slot& slot = ws.slot(this);
-  // Backward needs the input shape and the winning positions only.
-  slot.shape = training_ ? input.shape() : std::vector<std::size_t>{};
-  slot.indices.clear();
-  if (training_) slot.indices.resize(batch * channels * out_len);
-
-  Tensor out({batch, channels, out_len});
-  for (std::size_t bc = 0; bc < batch * channels; ++bc) {
-    const float* row = input.data() + bc * n;
-    float* orow = out.data() + bc * out_len;
-    std::size_t* irow =
-        training_ ? slot.indices.data() + bc * out_len : nullptr;
-    for (std::size_t j = 0; j < out_len; ++j) {
-      const std::size_t base = j * stride_;
-      float best = row[base];
-      std::size_t best_i = base;
-      for (std::size_t k = 1; k < kernel_size_; ++k) {
-        if (row[base + k] > best) {
-          best = row[base + k];
-          best_i = base + k;
-        }
-      }
-      orow[j] = best;
-      if (irow != nullptr) irow[j] = best_i;
-    }
-  }
-  return out;
-}
-
-Tensor MaxPool1d::backward(const Tensor& grad_output, Workspace& ws) {
-  Workspace::Slot& slot = ws.slot(this);
-  const std::vector<std::size_t>& in_shape = slot.shape;
-  detail::require(!in_shape.empty(), "MaxPool1d::backward before forward");
-  const std::size_t batch = in_shape[0];
-  const std::size_t channels = in_shape[1];
-  const std::size_t n = in_shape[2];
-  const std::size_t out_len = output_length(n);
-  detail::require(grad_output.rank() == 3 && grad_output.dim(0) == batch &&
-                      grad_output.dim(1) == channels &&
-                      grad_output.dim(2) == out_len,
-                  "MaxPool1d::backward: grad shape mismatch");
-
-  Tensor grad_input(in_shape);
-  for (std::size_t bc = 0; bc < batch * channels; ++bc) {
-    const float* grow = grad_output.data() + bc * out_len;
-    float* gxrow = grad_input.data() + bc * n;
-    const std::size_t* irow = slot.indices.data() + bc * out_len;
-    // Overlapping windows can pick the same sample; gradients accumulate.
-    for (std::size_t j = 0; j < out_len; ++j) gxrow[irow[j]] += grow[j];
-  }
-  return grad_input;
-}
-
-std::string MaxPool1d::name() const {
-  std::ostringstream os;
-  os << "MaxPool1d(k=" << kernel_size_ << ", s=" << stride_ << ")";
-  return os.str();
 }
 
 }  // namespace scalocate::nn

@@ -3,11 +3,13 @@
 // The offline CoLocator needs the whole trace in memory before it can
 // score a single window. This runtime ingests the trace as arbitrary-size
 // chunks (feed), keeps only a bounded tail of samples in a ring buffer,
-// and carries every pipeline stage across chunk boundaries:
+// scores every window as soon as it is complete, and hands the scores to
+// core::Segmenter — the same incremental machine CoLocator::locate runs to
+// the end of the trace:
 //
-//   samples -> [ring] -> sliding CNN scores -> threshold square wave
-//           -> incremental median filter -> rising edges
-//           -> offset correction + fine template alignment -> detections
+//   samples -> [ring] -> sliding CNN scores -> core::Segmenter (threshold,
+//           median filter, rising edges, offset correction, fine template
+//           alignment, sorted release, dedup) -> detections
 //
 // Detections are emitted online, as soon as no future sample can change
 // them, and are *identical* to CoLocator::locate on the concatenated
@@ -23,10 +25,7 @@
 //     of emitting exactly what the offline pipeline would.
 #pragma once
 
-#include <cstdint>
-#include <deque>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,10 +36,7 @@
 namespace scalocate::runtime {
 
 /// One located CO, emitted online.
-struct Detection {
-  std::size_t start = 0;     ///< offset-corrected, fine-aligned CO start
-  std::size_t raw_edge = 0;  ///< uncorrected rising-edge sample (diagnostic)
-};
+using Detection = core::Detection;
 
 struct StreamingConfig {
   /// What feed() does with a chunk containing non-finite samples (NaN/Inf
@@ -60,9 +56,6 @@ struct StreamingConfig {
     kSanitize,
   };
   NanPolicy nan_policy = NanPolicy::kReject;
-  /// Ready windows handed to one score_window_batch call (which runs
-  /// them as 32-window tiles).
-  std::size_t batch_size = 64;
   /// Decision threshold override. NaN = inherit: the locator's configured
   /// threshold when fixed, otherwise its calibration-trace Otsu threshold.
   float threshold = std::numeric_limits<float>::quiet_NaN();
@@ -159,8 +152,8 @@ class StreamingLocator {
   /// exactly as it does on the self-scoring path.
   std::span<const float> ready_window(std::size_t i) const;
   /// Accepts externally computed scores for the first scores.size() ready
-  /// windows and advances the downstream pipeline (median filter, edge
-  /// refinement, release, ring trim); appends finalized detections to out.
+  /// windows and advances the Segmenter and the ring trim; appends
+  /// finalized detections to out.
   void accept_scores(std::span<const float> scores,
                      std::vector<Detection>& out);
   /// End-of-stream for externally scheduled streams. Requires every ready
@@ -171,74 +164,39 @@ class StreamingLocator {
   /// Total samples fed so far.
   std::size_t samples_consumed() const { return ring_.size(); }
   /// Windows scored so far.
-  std::size_t windows_scored() const { return next_window_; }
+  std::size_t windows_scored() const { return segmenter_.windows(); }
   /// Samples currently resident in the ring (bounded-memory check).
   std::size_t resident_samples() const {
     return ring_.size() - ring_.oldest();
   }
-  float threshold() const { return threshold_; }
-  std::size_t median_k() const { return median_k_; }
+  float threshold() const { return segmenter_.threshold(); }
+  std::size_t median_k() const { return segmenter_.median_k(); }
   bool finished() const { return finished_; }
   /// Non-finite samples seen at feed() boundaries on this stream
   /// (maintained with or without telemetry). reset() clears it.
   std::size_t corrupt_samples() const { return corrupt_samples_; }
 
  private:
-  struct Pending {
-    std::size_t final_start;
-    std::size_t raw_edge;
-  };
+  void advance(std::span<const float> scores, std::vector<Detection>& out);
+  void record_detections(const std::vector<Detection>& out,
+                         std::size_t first);
+  std::span<const float> resident() const;
 
-  void pump(bool eof, std::vector<Detection>& out);
-  void score_ready_windows();
-  void ingest_scores(std::span<const float> scores);
-  void emit_filtered(bool eof);
-  void on_filtered_value(std::size_t index, float value);
-  void refine_ready_edges(bool eof);
-  void release_pending(bool eof, std::vector<Detection>& out);
-  void trim_ring();
-  std::int64_t future_lower_bound(std::int64_t raw_sample) const;
-
-  const core::CoLocator& locator_;
   core::SlidingWindowClassifier classifier_;
+  core::Segmenter segmenter_;
   nn::Workspace ws_;
-
-  // Pipeline constants resolved at construction.
   std::size_t window_ = 0;
   std::size_t stride_ = 1;
-  std::size_t batch_size_ = 64;
   StreamingConfig::NanPolicy nan_policy_ = StreamingConfig::NanPolicy::kReject;
-  float threshold_ = 0.0f;
-  std::size_t median_k_ = 3;
-  std::size_t half_ = 1;  ///< median_k_ / 2
-  std::size_t merge_gap_ = 0;  ///< Segmenter plateau-split merge width
-  std::int64_t coarse_ = 0;
-  std::int64_t fine_ = 0;
-  bool fine_align_ = false;     ///< config flag (drives the fine_ stage)
-  std::size_t tmpl_len_ = 0;    ///< 0 = no template snap
-  std::size_t radius_ = 0;
-  bool dedup_ = false;
-  std::size_t min_gap_ = 0;
 
   // Stream state.
   SampleRing ring_;
-  std::size_t next_window_ = 0;   ///< next window index to score
-  std::deque<float> square_;      ///< square wave tail, starts at sq_base_
-  std::size_t sq_base_ = 0;       ///< window index of square_[0]
-  std::size_t filt_next_ = 0;     ///< next median-filter index to emit
-  float prev_filt_ = 0.0f;        ///< filtered[filt_next_ - 1]
-  std::optional<std::size_t> last_fall_;  ///< latest falling-edge window
-  std::deque<std::size_t> raw_edges_;  ///< unrefined edges (sample indices)
-  std::vector<Pending> pending_;       ///< refined, sorted by final_start
-  std::optional<std::size_t> last_kept_;  ///< dedup state
   bool finished_ = false;
   std::size_t corrupt_samples_ = 0;  ///< non-finite samples seen at feed()
 
   // Reused scratch. (Window staging lives in ws_.staging(): windows are
   // standardized from the ring directly into the batch tensor.)
   std::vector<float> scores_buf_;
-  std::vector<float> median_scratch_;
-  std::vector<float> neighborhood_;
   std::vector<float> sanitize_buf_;  ///< feed() NaN-scrub / poison scratch
 
   StreamMetrics metrics_;  ///< all-null when telemetry is off

@@ -32,8 +32,8 @@
 // scores every row independently of its batch neighbors (the
 // batch-composition invariance the offline/streaming parity suite proves),
 // and each stream's scores are handed back to its own StreamingLocator
-// core via accept_scores — the identical downstream pipeline the
-// self-scoring path runs. Detections therefore match the unbatched and
+// core via accept_scores — the identical core::Segmenter the self-scoring
+// and offline paths run. Detections therefore match the unbatched and
 // offline paths exactly, for every interleaving of sessions and every
 // batch composition; tests/test_fleet.cpp asserts this and bench_fleet
 // exits nonzero on divergence.
@@ -210,8 +210,7 @@ class WindowBatcher {
 
   /// Opens a stream whose windows are scored through the shared batch.
   /// `config` carries the same per-stream knobs as the self-scoring path
-  /// (NanPolicy, threshold override, telemetry wiring); batch_size is
-  /// unused — the batcher's max_batch_windows governs.
+  /// (NanPolicy, threshold override, telemetry wiring).
   std::shared_ptr<BatchedStream> open_stream(StreamingConfig config = {});
 
   const BatchMetrics& metrics() const { return metrics_; }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <limits>
 
 #include "core/locator.hpp"
 #include "core/metrics.hpp"
@@ -94,12 +96,31 @@ TEST_F(PipelineIntegration, AlignmentProducesUsableSegments) {
 
 TEST_F(PipelineIntegration, DetailedOutputIsConsistent) {
   const auto eval = trace::acquire_eval_trace(*sc_, 6, *key_, false);
-  auto det = locator_->locate_detailed(eval.samples);
-  EXPECT_EQ(det.segmentation.square_wave.size(), det.swc.scores.size());
-  EXPECT_EQ(det.segmentation.filtered.size(), det.swc.scores.size());
-  // corrected starts shifted from raw by at most the calibration offsets +
-  // refinement radius.
-  EXPECT_LE(det.co_starts.size(), det.segmentation.co_starts.size());
+  const auto& params = locator_->config().params;
+  core::SlidingWindowClassifier classifier(locator_->model(), params.n_inf,
+                                           params.stride);
+  const auto swc = classifier.classify(eval.samples);
+  auto seg = locator_->segmenter(std::numeric_limits<float>::quiet_NaN(),
+                                 swc.scores);
+  std::vector<core::Detection> found;
+  seg.push(swc.scores, eval.samples, 0, found);
+  seg.finish(eval.samples, 0, found);
+  // locate() is exactly this machine run to the end of the trace.
+  std::vector<std::size_t> starts;
+  for (const auto& d : found) {
+    starts.push_back(d.start);
+    EXPECT_EQ(d.raw_edge % params.stride, 0u);
+    // corrected starts shifted from raw by at most the calibration offsets
+    // + refinement radius.
+    const auto shift = static_cast<long long>(d.start) -
+                       static_cast<long long>(d.raw_edge);
+    EXPECT_LE(std::llabs(shift),
+              std::llabs(static_cast<long long>(locator_->coarse_offset())) +
+                  std::llabs(static_cast<long long>(locator_->fine_offset())) +
+                  static_cast<long long>(locator_->fine_search_radius()));
+  }
+  EXPECT_EQ(starts, locator_->locate(eval.samples));
+  EXPECT_EQ(seg.windows(), swc.scores.size());
 }
 
 TEST_F(PipelineIntegration, ModelSaveLoadKeepsPredictions) {

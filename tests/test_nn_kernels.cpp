@@ -1,7 +1,7 @@
 // Kernel-backend parity suite: the blocked GEMM path vs the naive
 // reference kernels, im2col/col2im round trips, the fused pointwise ops,
 // Tensor reshape/view semantics, and gradient checks routed through the
-// new backend (Conv1d/Linear/MaxPool1d).
+// new backend (Conv1d/Linear).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -727,39 +727,6 @@ TEST(FusedConvBlockSpecials, ReluSemanticsOnSignedZeroInfNan) {
     Workspace fused_ws;
     expect_tensor_memcmp_equal(block.forward(x, fused_ws), ref,
                                "fused specials");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// MaxPool1d
-// ---------------------------------------------------------------------------
-
-TEST(MaxPool, KnownValues) {
-  MaxPool1d pool(2);  // stride defaults to kernel (non-overlapping)
-  const auto y = pool.forward(
-      Tensor::from_data({1, 1, 6}, {1.f, 3.f, -2.f, -5.f, 7.f, 7.f}));
-  ASSERT_EQ(y.dim(2), 3u);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0), 3.f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 1), -2.f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 2), 7.f);
-}
-
-TEST(MaxPool, OverlappingStride) {
-  MaxPool1d pool(3, 1);
-  const auto y =
-      pool.forward(Tensor::from_data({1, 1, 5}, {0.f, 1.f, 2.f, 1.f, 0.f}));
-  ASSERT_EQ(y.dim(2), 3u);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0), 2.f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 1), 2.f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 2), 2.f);
-}
-
-TEST(MaxPool, Gradient) {
-  for (std::size_t stride : {0u, 1u, 2u}) {
-    MaxPool1d pool(3, stride);
-    const auto result =
-        check_layer_gradients(pool, random_tensor({2, 2, 9}, 59));
-    EXPECT_TRUE(result.passed) << "stride=" << stride;
   }
 }
 
