@@ -122,10 +122,13 @@ void Segmenter::reset() {
 void Segmenter::push(std::span<const float> scores,
                      std::span<const float> samples, std::size_t samples_begin,
                      std::vector<Detection>& out) {
-  for (const float score : scores)
+  // Filter as each score arrives, so the square wave tail stays within one
+  // median window however many scores one push brings.
+  for (const float score : scores) {
     square_.push_back(score >= threshold_ ? 1.0f : -1.0f);
-  windows_ += scores.size();
-  filter(/*eof=*/false);
+    ++windows_;
+    filter(/*eof=*/false);
+  }
   refine(samples, samples_begin, /*eof=*/false);
   release(/*eof=*/false, out);
 }
