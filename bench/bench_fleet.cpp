@@ -284,7 +284,7 @@ int main() {
     r.p99_lag_samples = p99_lag(registry, "stream.aes.emission_lag_samples");
     parity_total += r.parity_failures;
     json.begin_object();
-    json.kv("intra_op_threads", threads);
+    json.kv("batch_intra_op_threads", threads);
     json.kv("sessions", core_sessions);
     json.kv("wall_seconds", r.wall_seconds);
     json.kv("samples_per_s",

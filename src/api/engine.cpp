@@ -86,11 +86,6 @@ Job Session::submit_job(std::vector<float> trace, SubmitOptions options) {
   return Job(std::move(flag), std::move(future));
 }
 
-std::future<Session::TimedResult> Session::submit_timed(
-    std::span<const float> trace, SubmitOptions options) {
-  return entry_->service.submit_timed(trace, options);
-}
-
 Stream Session::open_stream(StreamingConfig config) const {
   // Engine-level telemetry wiring, unless the caller routed the stream to a
   // registry of their own.
@@ -151,24 +146,6 @@ crypto::CipherId Engine::register_entry(
   return cipher;
 }
 
-runtime::ServiceConfig Engine::service_config(crypto::CipherId cipher) const {
-  runtime::ServiceConfig cfg;
-  cfg.max_queue_depth = config_.max_queue_depth;
-  cfg.admission = config_.admission;
-  cfg.max_concurrency = config_.max_concurrency;
-  cfg.watchdog_p99_multiple = config_.watchdog_p99_multiple;
-  cfg.watchdog_min_samples = config_.watchdog_min_samples;
-  cfg.intra_op_threads = config_.intra_op_threads;
-  cfg.max_batch_windows = config_.max_batch_windows;
-  cfg.batch_linger_us = config_.batch_linger_us;
-  cfg.batch_intra_op_threads = config_.batch_intra_op_threads;
-  if (config_.registry) {
-    cfg.registry = config_.registry;
-    cfg.metric_prefix = "engine." + metric_model_name(cipher);
-  }
-  return cfg;
-}
-
 crypto::CipherId Engine::load_artifact(const std::string& path) {
   // Load first: the model's cipher id names its instruments.
   return add_model(api::load_artifact(path));
@@ -177,13 +154,14 @@ crypto::CipherId Engine::load_artifact(const std::string& path) {
 crypto::CipherId Engine::add_model(core::CoLocator&& locator) {
   const auto cipher = locator.config().params.cipher;
   return register_entry(std::make_shared<detail::ModelEntry>(
-      std::move(locator), pool_, service_config(cipher)));
+      std::move(locator), pool_, config_,
+      "engine." + metric_model_name(cipher)));
 }
 
 crypto::CipherId Engine::attach_model(const core::CoLocator& locator) {
   const auto cipher = locator.config().params.cipher;
   return register_entry(std::make_shared<detail::ModelEntry>(
-      locator, pool_, service_config(cipher)));
+      locator, pool_, config_, "engine." + metric_model_name(cipher)));
 }
 
 std::string Engine::telemetry_text() const {

@@ -40,72 +40,11 @@ namespace scalocate::api {
 
 using runtime::AdmissionPolicy;
 using runtime::Detection;
+/// The one serving config (runtime/locator_service.hpp); its `registry`
+/// doc lists every instrument an Engine publishes.
+using runtime::EngineConfig;
 using runtime::StreamingConfig;
 using runtime::SubmitOptions;
-
-struct EngineConfig {
-  /// Worker threads of the shared pool. 0 = hardware concurrency.
-  std::size_t workers = 0;
-  /// Per-model bound on in-flight whole-trace jobs. What happens at the
-  /// bound is `admission`'s call (default: submit blocks — backpressure).
-  /// 0 = unbounded.
-  std::size_t max_queue_depth = 0;
-  /// Behavior at max_queue_depth, applied per model: kBlock (default,
-  /// today's behavior), kRejectWhenFull (submit throws Overloaded), or
-  /// kShedByDeadline (evict the queued job least likely to meet its
-  /// deadline). See runtime::AdmissionPolicy and README "Failure model".
-  AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Per-model cap on jobs RUNNING in the shared pool at once. 0 = the
-  /// pool's worker count. Set below `workers` so one hot cipher cannot
-  /// starve every other registered model of workers.
-  std::size_t max_concurrency = 0;
-  /// Watchdog: flag (never kill) a running job once its wall clock exceeds
-  /// this multiple of its model's rolling p99 runtime — the
-  /// `watchdog_trips` counter distinguishes "stuck" from "slow". 0 = off.
-  double watchdog_p99_multiple = 0.0;
-  /// Completed jobs required before the watchdog trusts the p99 baseline.
-  std::size_t watchdog_min_samples = 32;
-  /// Intra-op threads per job (nn/kernels/parallel.hpp): how many
-  /// compute-pool threads one job's window scoring may use (as tile
-  /// workers, see core/sliding_window.hpp). Default 1 = throughput mode (many concurrent jobs, one core
-  /// each — the `workers` knob is the parallelism). Set >1 (or 0 for the
-  /// process default / SCALOCATE_THREADS) for latency mode: few big
-  /// traces, each saturating the machine. Detections are bit-identical
-  /// at every setting, so the trade is purely throughput vs latency.
-  std::size_t intra_op_threads = 1;
-  /// Cross-session dynamic batching — the fleet serving plane (README
-  /// "Fleet serving"). 0 = off (default): every stream scores its own
-  /// windows on its caller's thread, the legacy path. >0: each registered
-  /// model gets a runtime::WindowBatcher, and streams opened through
-  /// Sessions feed a wait-free ingest ring instead; the batcher coalesces
-  /// up to this many ready windows across ALL of the model's sessions into
-  /// one score_window_batch call per flush. Detections are bit-identical
-  /// either way (batch composition cannot change a window's score), so the
-  /// knob trades nothing but latency shape for fleet throughput.
-  std::size_t max_batch_windows = 0;
-  /// How long a partially filled batch may wait for more windows before it
-  /// is flushed anyway — the added-latency bound a quiet fleet pays.
-  /// Ignored when batching is off.
-  std::uint64_t batch_linger_us = 200;
-  /// Tile workers per batch flush: each flush scores its windows as
-  /// 32-window tiles on up to this many compute-pool threads (see
-  /// core/sliding_window.hpp). 0 (default) = process default
-  /// (SCALOCATE_THREADS): unlike per-job scoring, the batcher IS the
-  /// model's shared compute path, so it defaults wide. Ignored when
-  /// batching is off.
-  std::size_t batch_intra_op_threads = 0;
-  /// Telemetry sink (must outlive the Engine). When set, every registered
-  /// model gets per-model instruments — `engine.<model>.requests`,
-  /// `.queue_depth`, `.queue_wait_ns`, `.latency_ns`, `.cancelled`,
-  /// `.backpressure_blocks` — and every stream opened through a Session
-  /// gets `stream.<model>.samples_fed` / `.windows_scored` / `.detections`
-  /// / `.emission_lag_samples`; the shared pool reports `pool.queue_depth`
-  /// and `pool.tasks`; and with batching on, each model's batcher reports
-  /// `batch.<model>.*` (see runtime::BatchMetrics). Null = telemetry off
-  /// (zero overhead and no behavior change either way). Pass
-  /// &obs::Registry::global() to publish into the process-wide registry.
-  obs::Registry* registry = nullptr;
-};
 
 /// Instrument-name segment for a model: the cipher display name lowercased
 /// with non-alphanumerics dropped ("AES-128" -> "aes128").
@@ -124,17 +63,20 @@ namespace detail {
 /// One registered model: the locator (owned or borrowed) plus its executor
 /// over the engine's shared pool. Sessions share ownership of the entry.
 /// `registry`/`stream_prefix` carry the engine's telemetry wiring to
-/// streams opened later through a Session.
+/// streams opened later through a Session. `service_prefix` names the
+/// service's instruments and fault site ("engine.<model>").
 struct ModelEntry {
   ModelEntry(core::CoLocator&& loc, runtime::ThreadPool& pool,
-             runtime::ServiceConfig cfg)
+             const EngineConfig& cfg, std::string service_prefix)
       : owned(std::move(loc)),
         locator(&*owned),
         registry(cfg.registry),
-        service(*locator, pool, std::move(cfg)) {}
+        service(*locator, pool, cfg, std::move(service_prefix)) {}
   ModelEntry(const core::CoLocator& loc, runtime::ThreadPool& pool,
-             runtime::ServiceConfig cfg)
-      : locator(&loc), registry(cfg.registry), service(loc, pool, std::move(cfg)) {}
+             const EngineConfig& cfg, std::string service_prefix)
+      : locator(&loc),
+        registry(cfg.registry),
+        service(loc, pool, cfg, std::move(service_prefix)) {}
 
   std::optional<core::CoLocator> owned;
   const core::CoLocator* locator;
@@ -159,7 +101,6 @@ class Job {
 
   /// Blocks for the result (rethrows the job's exception, if any).
   std::vector<std::size_t> get() { return future_.get(); }
-  std::future<std::vector<std::size_t>>& future() { return future_; }
 
  private:
   friend class Session;
@@ -251,10 +192,6 @@ class Session {
   /// Whole-trace job with a cancellation handle.
   Job submit_job(std::vector<float> trace, SubmitOptions options = {});
 
-  using TimedResult = runtime::LocatorService::TimedResult;
-  std::future<TimedResult> submit_timed(std::span<const float> trace,
-                                        SubmitOptions options = {});
-
   /// Opens a push-based stream over this session's model.
   Stream open_stream(StreamingConfig config = {}) const;
 
@@ -326,7 +263,6 @@ class Engine {
 
  private:
   crypto::CipherId register_entry(std::shared_ptr<detail::ModelEntry> entry);
-  runtime::ServiceConfig service_config(crypto::CipherId cipher) const;
 
   EngineConfig config_;
   runtime::ThreadPool pool_;  ///< declared before the registry: entries

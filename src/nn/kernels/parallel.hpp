@@ -20,9 +20,10 @@
 //     hardware concurrency). This is what standalone callers — the
 //     trainer, offline CoLocator::locate, the benches — run with.
 //   - intra_op_threads() / set_intra_op_threads() scope a per-thread
-//     budget: runtime::LocatorService and api::Engine set it around each
-//     job from their ServiceConfig/EngineConfig::intra_op_threads knob
-//     (default 1: a saturated service pool already uses every core).
+//     budget: runtime::LocatorService pins it to 1 around each whole-trace
+//     job (a saturated service pool already uses every core), and
+//     runtime::WindowBatcher sets it around each batch flush from
+//     EngineConfig::batch_intra_op_threads.
 //
 // Nested parallel regions never fan out twice: a chunk that itself calls
 // parallel_for runs its chunks inline, so compute-pool workers cannot

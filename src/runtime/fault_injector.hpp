@@ -7,9 +7,10 @@
 //
 //   site              hook location                       actions
 //   ----------------  ----------------------------------  --------------
-//   "service.job"     LocatorService worker, before the   throw, stall
-//   (or "<metric      locate runs (prefix follows the
-//    prefix>.job")    service's metric_prefix)
+//   "engine.<model>   LocatorService worker, before the   throw, stall
+//    .job"            locate runs; the prefix is the
+//                     service's metric_prefix ("service"
+//                     when built outside an api::Engine)
 //   "stream.feed"     StreamingLocator::feed, on the      poison (NaN)
 //                     chunk before validation
 //   "artifact.read"   api::load_artifact, on the raw      truncate

@@ -10,83 +10,44 @@ namespace scalocate::runtime {
 
 ServiceMetrics ServiceMetrics::resolve(obs::Registry& registry,
                                        const std::string& prefix) {
-  const std::string p = prefix.empty() ? "service" : prefix;
   ServiceMetrics m;
-  m.requests = &registry.counter(p + ".requests");
-  m.completed = &registry.counter(p + ".completed");
-  m.cancelled = &registry.counter(p + ".cancelled");
-  m.backpressure_blocks = &registry.counter(p + ".backpressure_blocks");
-  m.rejected = &registry.counter(p + ".rejected");
-  m.shed = &registry.counter(p + ".shed");
-  m.deadline_exceeded = &registry.counter(p + ".deadline_exceeded");
-  m.watchdog_trips = &registry.counter(p + ".watchdog_trips");
-  m.queue_depth = &registry.gauge(p + ".queue_depth");
-  m.queue_wait_ns = &registry.histogram(p + ".queue_wait_ns");
-  m.latency_ns = &registry.histogram(p + ".latency_ns");
+  m.requests = &registry.counter(prefix + ".requests");
+  m.completed = &registry.counter(prefix + ".completed");
+  m.cancelled = &registry.counter(prefix + ".cancelled");
+  m.backpressure_blocks = &registry.counter(prefix + ".backpressure_blocks");
+  m.rejected = &registry.counter(prefix + ".rejected");
+  m.shed = &registry.counter(prefix + ".shed");
+  m.deadline_exceeded = &registry.counter(prefix + ".deadline_exceeded");
+  m.watchdog_trips = &registry.counter(prefix + ".watchdog_trips");
+  m.queue_depth = &registry.gauge(prefix + ".queue_depth");
+  m.queue_wait_ns = &registry.histogram(prefix + ".queue_wait_ns");
+  m.latency_ns = &registry.histogram(prefix + ".latency_ns");
   return m;
 }
 
 namespace {
-std::size_t resolve_concurrency(std::size_t configured, std::size_t workers) {
-  const std::size_t cap = configured == 0 ? workers : configured;
-  return cap == 0 ? 1 : cap;
-}
+/// How often the watchdog thread scans running jobs.
+constexpr std::chrono::milliseconds kWatchdogPoll{20};
 }  // namespace
 
-LocatorService::LocatorService(const core::CoLocator& locator,
-                               ServiceConfig config)
-    : locator_(locator),
-      owned_pool_(std::make_unique<ThreadPool>(resolve_workers(config.workers))),
-      pool_(owned_pool_.get()),
-      scratch_(pool_->worker_count()),
-      max_depth_(config.max_queue_depth),
-      admission_(config.admission),
-      concurrency_cap_(
-          resolve_concurrency(config.max_concurrency, pool_->worker_count())),
-      intra_op_threads_(config.intra_op_threads),
-      fault_site_((config.metric_prefix.empty() ? std::string("service")
-                                                : config.metric_prefix) +
-                  ".job"),
-      worker_start_ns_(pool_->worker_count()),
-      worker_job_serial_(pool_->worker_count()),
-      worker_flagged_serial_(pool_->worker_count(), 0),
-      watchdog_multiple_(config.watchdog_p99_multiple),
-      watchdog_min_samples_(config.watchdog_min_samples),
-      watchdog_poll_(config.watchdog_poll) {
-  detail::require(locator_.is_trained(),
-                  "LocatorService: locator must be trained");
-  if (config.registry) {
-    metrics_ = ServiceMetrics::resolve(*config.registry, config.metric_prefix);
-    // The service owns this pool, so it also owns publishing the pool's
-    // instruments (an external pool's owner — api::Engine — wires its own).
-    owned_pool_->attach_metrics(*config.registry);
-  }
-  start_watchdog();
-}
-
 LocatorService::LocatorService(const core::CoLocator& locator, ThreadPool& pool,
-                               ServiceConfig config)
+                               const EngineConfig& config,
+                               std::string metric_prefix)
     : locator_(locator),
-      pool_(&pool),
+      pool_(pool),
       scratch_(pool.worker_count()),
       max_depth_(config.max_queue_depth),
       admission_(config.admission),
-      concurrency_cap_(
-          resolve_concurrency(config.max_concurrency, pool.worker_count())),
-      intra_op_threads_(config.intra_op_threads),
-      fault_site_((config.metric_prefix.empty() ? std::string("service")
-                                                : config.metric_prefix) +
-                  ".job"),
+      fault_site_(metric_prefix + ".job"),
       worker_start_ns_(pool.worker_count()),
       worker_job_serial_(pool.worker_count()),
       worker_flagged_serial_(pool.worker_count(), 0),
       watchdog_multiple_(config.watchdog_p99_multiple),
-      watchdog_min_samples_(config.watchdog_min_samples),
-      watchdog_poll_(config.watchdog_poll) {
+      watchdog_min_samples_(config.watchdog_min_samples) {
   detail::require(locator_.is_trained(),
                   "LocatorService: locator must be trained");
   if (config.registry)
-    metrics_ = ServiceMetrics::resolve(*config.registry, config.metric_prefix);
+    metrics_ = ServiceMetrics::resolve(*config.registry, metric_prefix);
   start_watchdog();
 }
 
@@ -123,12 +84,11 @@ LocatorService::resolve_deadline(const SubmitOptions& options) {
   return deadline;
 }
 
-template <typename R, typename Body>
-std::future<R> LocatorService::submit_impl(CancelFlag cancel,
-                                           const SubmitOptions& options,
-                                           Body body) {
-  auto promise = std::make_shared<std::promise<R>>();
-  std::future<R> future = promise->get_future();
+std::future<std::vector<std::size_t>> LocatorService::submit_impl(
+    std::span<const float> trace, std::shared_ptr<const void> keepalive,
+    CancelFlag cancel, const SubmitOptions& options) {
+  auto promise = std::make_shared<std::promise<std::vector<std::size_t>>>();
+  auto future = promise->get_future();
 
   auto job = std::make_shared<JobRec>();
   job->cancel = std::move(cancel);
@@ -142,17 +102,18 @@ std::future<R> LocatorService::submit_impl(CancelFlag cancel,
   job->fail = [promise](std::exception_ptr error) {
     promise->set_exception(std::move(error));
   };
-  job->run = [this, promise, body = std::move(body)](std::size_t worker) {
+  job->run = [this, promise, trace,
+              keepalive = std::move(keepalive)](std::size_t worker) {
     try {
       // Chaos hook: an armed "<prefix>.job" site throws/stalls here, i.e.
       // on the worker after dispatch — exactly where a real worker blip
       // lands. The throw surfaces through the future as a typed
       // (transient) InjectedFault.
       FaultInjector::instance().check(fault_site_.c_str());
-      // Pin this job's kernel fan-out to the configured budget (1 keeps
-      // the legacy one-core-per-job behavior; 0 = process default).
-      nn::kernels::IntraOpGuard intra(intra_op_threads_);
-      promise->set_value(body(worker));
+      // One core per job: a pool saturated with jobs already uses every
+      // core, and nested fan-out would only oversubscribe the box.
+      nn::kernels::IntraOpGuard intra(1);
+      promise->set_value(locator_.locate(trace, scratch_[worker]));
     } catch (...) {
       promise->set_exception(std::current_exception());
     }
@@ -165,8 +126,8 @@ std::future<R> LocatorService::submit_impl(CancelFlag cancel,
 void LocatorService::enqueue(const JobPtr& job) {
   if (metrics_.enabled()) metrics_.requests->add();
 
-  // Already-expired deadlines are refused before any queueing: the cheap
-  // path the tentpole asks for. Counted as a rejection, not a submission.
+  // Already-expired deadlines are refused before any queueing, the cheapest
+  // path. Counted as a rejection, not a submission.
   if (job->has_deadline &&
       std::chrono::steady_clock::now() >= job->deadline) {
     rejected_.fetch_add(1);
@@ -264,7 +225,7 @@ bool LocatorService::shed_one_locked(
 }
 
 void LocatorService::dispatch_locked() {
-  while (running_ < concurrency_cap_ && !queue_.empty()) {
+  while (running_ < pool_.worker_count() && !queue_.empty()) {
     JobPtr job = queue_.front();
     queue_.pop_front();
     if (job->cancel && job->cancel->load()) {
@@ -288,7 +249,7 @@ void LocatorService::dispatch_locked() {
     // Lock order is service mutex -> pool mutex, never the reverse: pool
     // workers re-enter the service mutex only from run_job, after the pool
     // lock is long released.
-    pool_->post([this, job](std::size_t worker) { run_job(job, worker); });
+    pool_.post([this, job](std::size_t worker) { run_job(job, worker); });
   }
 }
 
@@ -350,7 +311,7 @@ void LocatorService::start_watchdog() {
 void LocatorService::watchdog_loop() {
   std::unique_lock<std::mutex> lock(watchdog_mutex_);
   while (!watchdog_stop_) {
-    watchdog_cv_.wait_for(lock, watchdog_poll_,
+    watchdog_cv_.wait_for(lock, kWatchdogPoll,
                           [this] { return watchdog_stop_; });
     if (watchdog_stop_) return;
     lock.unlock();
@@ -384,34 +345,14 @@ void LocatorService::watchdog_loop() {
 
 std::future<std::vector<std::size_t>> LocatorService::submit(
     std::vector<float> trace, CancelFlag cancel, SubmitOptions options) {
-  auto owned = std::make_shared<std::vector<float>>(std::move(trace));
-  return submit_impl<std::vector<std::size_t>>(
-      std::move(cancel), options, [this, owned](std::size_t worker) {
-        return locator_.locate(*owned, scratch_[worker]);
-      });
+  auto owned = std::make_shared<const std::vector<float>>(std::move(trace));
+  const std::span<const float> view(*owned);
+  return submit_impl(view, std::move(owned), std::move(cancel), options);
 }
 
 std::future<std::vector<std::size_t>> LocatorService::submit_view(
     std::span<const float> trace, CancelFlag cancel, SubmitOptions options) {
-  return submit_impl<std::vector<std::size_t>>(
-      std::move(cancel), options, [this, trace](std::size_t worker) {
-        return locator_.locate(trace, scratch_[worker]);
-      });
-}
-
-std::future<LocatorService::TimedResult> LocatorService::submit_timed(
-    std::span<const float> trace, SubmitOptions options) {
-  const auto enqueued = std::chrono::steady_clock::now();
-  return submit_impl<TimedResult>(
-      nullptr, options, [this, trace, enqueued](std::size_t worker) {
-        TimedResult result;
-        result.starts = locator_.locate(trace, scratch_[worker]);
-        result.latency_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          enqueued)
-                .count();
-        return result;
-      });
+  return submit_impl(trace, nullptr, std::move(cancel), options);
 }
 
 }  // namespace scalocate::runtime

@@ -1,38 +1,36 @@
 // LocatorService: concurrent CO localization over one shared model, with a
-// failure model attached.
+// failure model attached. It is the whole-trace job executor behind
+// api::Engine, which builds one per registered model over its shared pool.
 //
-// Accepts whole-trace locate jobs and multiplexes them across a ThreadPool.
-// All workers share the service's trained CoLocator — the nn refactor made
-// eval-mode forward passes const, so the model is never copied — while each
-// worker owns a private nn::Workspace holding its activation scratch.
-// Results come back as futures; exceptions inside a job propagate through
-// the future.
+// Accepts whole-trace locate jobs and multiplexes them across a ThreadPool
+// the caller owns. All workers share the service's trained CoLocator — the
+// nn refactor made eval-mode forward passes const, so the model is never
+// copied — while each worker owns a private nn::Workspace holding its
+// activation scratch, and each job scores its windows on one core. Results
+// come back as futures; exceptions inside a job propagate through the
+// future.
 //
 // Jobs pass through a service-local queue before they reach the pool: the
-// service dispatches at most `max_concurrency` jobs into the shared pool at
-// a time (its per-model running cap — on an api::Engine pool this is what
-// keeps one hot cipher from starving every other registered model), and
+// service dispatches at most one job per pool worker at a time, and
 // everything else waits in the local queue where the failure policies can
 // see it:
 //
 //   - deadlines (SubmitOptions::deadline / timeout): a job whose deadline
 //     passes while it queues is rejected cheaply — its future throws
 //     DeadlineExceeded before the job ever wastes a worker;
-//   - admission control (ServiceConfig::admission): at max_queue_depth the
+//   - admission control (EngineConfig::admission): at max_queue_depth the
 //     service either blocks the submitter (kBlock, the legacy default),
 //     fails fast with a synchronous Overloaded throw (kRejectWhenFull), or
 //     sheds the queued job least likely to meet its deadline to make room
 //     (kShedByDeadline — the victim's future throws Overloaded);
-//   - a watchdog (ServiceConfig::watchdog_p99_multiple): running jobs that
+//   - a watchdog (EngineConfig::watchdog_p99_multiple): running jobs that
 //     exceed a wall-clock multiple of the service's rolling p99 runtime
 //     are flagged (watchdog_trips) — the signal that distinguishes a stuck
 //     worker from a merely slow one.
 //
-// The service either owns its pool (standalone use) or runs over an
-// external one, which is how api::Engine serves several models (one per
-// cipher) from a single shared worker pool. Direct construction is the
-// low-level path; new code should go through api::Engine / api::Session,
-// which add model registry, artifact loading, and streaming on top.
+// Applications go through api::Engine / api::Session, which add the model
+// registry, artifact loading and streaming on top; constructing a service
+// directly is for tests of the executor itself.
 #pragma once
 
 #include <atomic>
@@ -85,59 +83,62 @@ struct SubmitOptions {
   std::optional<std::chrono::nanoseconds> timeout;
 };
 
-struct ServiceConfig {
-  /// Worker threads. 0 = hardware concurrency (at least 1). Ignored when
-  /// the service is constructed over an external pool.
+/// The one serving config: api::Engine's (re-exported as api::EngineConfig)
+/// and, per model, the LocatorService's.
+struct EngineConfig {
+  /// Worker threads of the shared pool. 0 = hardware concurrency. Read by
+  /// the pool's owner (api::Engine); a LocatorService runs on the pool it
+  /// is handed.
   std::size_t workers = 0;
-  /// Upper bound on in-flight jobs (queued + running) for this service.
-  /// What happens at the bound is `admission`'s call. 0 = unbounded.
+  /// Per-model bound on in-flight whole-trace jobs. What happens at the
+  /// bound is `admission`'s call (default: submit blocks — backpressure).
+  /// 0 = unbounded.
   std::size_t max_queue_depth = 0;
-  /// Behavior at max_queue_depth. kBlock preserves the pre-failure-model
-  /// blocking backpressure exactly.
+  /// Behavior at max_queue_depth, applied per model: kBlock (default,
+  /// today's behavior), kRejectWhenFull (submit throws Overloaded), or
+  /// kShedByDeadline (evict the queued job least likely to meet its
+  /// deadline). See AdmissionPolicy and README "Failure model".
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Per-service cap on jobs RUNNING in the pool at once. 0 = the pool's
-  /// worker count. On a shared (Engine) pool, set this below the worker
-  /// count to guarantee headroom for other models (per-model concurrency
-  /// limit).
-  std::size_t max_concurrency = 0;
-  /// Intra-op thread budget inside each job (see nn/kernels/parallel.hpp):
-  /// how many compute-pool threads ONE job's window scoring may use as
-  /// tile workers. Default 1 — a service saturated
-  /// with many small jobs already uses every core via `workers`, and
-  /// nested fan-out would oversubscribe the box. Raise it (or set 0 =
-  /// process default / SCALOCATE_THREADS) when the workload is a few big
-  /// traces and per-job latency matters more than aggregate throughput.
-  /// Results are bit-identical at every setting.
-  std::size_t intra_op_threads = 1;
-  /// Watchdog: flag a running job once its wall clock exceeds this
-  /// multiple of the service's rolling p99 job runtime (watchdog_trips
-  /// counter). 0 = off (default). The watchdog only observes — it never
-  /// kills a job — and stays quiet until `watchdog_min_samples` jobs have
-  /// completed, so the p99 means something.
+  /// Watchdog: flag (never kill) a running job once its wall clock exceeds
+  /// this multiple of its model's rolling p99 runtime — the
+  /// `watchdog_trips` counter distinguishes "stuck" from "slow". 0 = off.
   double watchdog_p99_multiple = 0.0;
+  /// Completed jobs required before the watchdog trusts the p99 baseline.
   std::size_t watchdog_min_samples = 32;
-  /// How often the watchdog thread scans running jobs.
-  std::chrono::milliseconds watchdog_poll{20};
-  /// Cross-session stream batching knobs (see runtime::WindowBatcher and
-  /// README "Fleet serving"). Carried here so the whole serving stack
-  /// shares one config surface; the whole-trace job executor itself does
-  /// not batch — the api::Engine consumes these when it builds each
-  /// model's batcher. 0 = batching off (streams self-score, the legacy
-  /// bit-identical path).
+  /// Cross-session dynamic batching — the fleet serving plane (README
+  /// "Fleet serving"). 0 = off (default): every stream scores its own
+  /// windows on its caller's thread, the legacy path. >0: each registered
+  /// model gets a runtime::WindowBatcher, and streams opened through
+  /// Sessions feed a wait-free ingest ring instead; the batcher coalesces
+  /// up to this many ready windows across ALL of the model's sessions into
+  /// one score_window_batch call per flush. Detections are bit-identical
+  /// either way (batch composition cannot change a window's score), so the
+  /// knob trades nothing but latency shape for fleet throughput.
   std::size_t max_batch_windows = 0;
-  /// Flush-latency bound for a partially filled batch, in microseconds.
+  /// How long a partially filled batch may wait for more windows before it
+  /// is flushed anyway — the added-latency bound a quiet fleet pays.
+  /// Ignored when batching is off.
   std::uint64_t batch_linger_us = 200;
-  /// Tile workers per batch flush (0 = process default).
+  /// Tile workers per batch flush: each flush scores its windows as
+  /// 32-window tiles on up to this many compute-pool threads (see
+  /// core/sliding_window.hpp). 0 (default) = process default
+  /// (SCALOCATE_THREADS): unlike per-job scoring, the batcher IS the
+  /// model's shared compute path, so it defaults wide. Ignored when
+  /// batching is off.
   std::size_t batch_intra_op_threads = 0;
-  /// Telemetry sink. When set, the service registers per-service
-  /// instruments under `metric_prefix` and records request counts, queue
-  /// depth, queue-wait and end-to-end latency, cancellations, backpressure
-  /// blocks, rejects, sheds, deadline misses and watchdog trips. Null =
-  /// telemetry off, zero overhead. The registry must outlive the service.
+  /// Telemetry sink (must outlive the Engine). When set, every registered
+  /// model gets per-model instruments — `engine.<model>.requests`,
+  /// `.completed`, `.cancelled`, `.backpressure_blocks`, `.rejected`,
+  /// `.shed`, `.deadline_exceeded`, `.watchdog_trips`, `.queue_depth`,
+  /// `.queue_wait_ns`, `.latency_ns` (see ServiceMetrics) — and every
+  /// stream opened through a Session gets `stream.<model>.samples_fed` /
+  /// `.windows_scored` / `.detections` / `.emission_lag_samples`; the
+  /// shared pool reports `pool.queue_depth` and `pool.tasks`; and with
+  /// batching on, each model's batcher reports `batch.<model>.*` (see
+  /// runtime::BatchMetrics). Null = telemetry off (zero overhead and no
+  /// behavior change either way). Pass &obs::Registry::global() to publish
+  /// into the process-wide registry.
   obs::Registry* registry = nullptr;
-  /// Instrument name prefix, e.g. "engine.aes128" (default "service").
-  /// Also names this service's fault-injection site "<prefix>.job".
-  std::string metric_prefix{};
 };
 
 /// Resolved per-service instrument set (see README "Observability" for the
@@ -169,14 +170,13 @@ class LocatorService {
   /// already running completes normally (cancel is then a no-op).
   using CancelFlag = std::shared_ptr<std::atomic<bool>>;
 
-  /// `locator` must be trained and outlive the service. Owns its pool.
-  explicit LocatorService(const core::CoLocator& locator,
-                          ServiceConfig config = {});
-
-  /// Runs over `pool`, which must outlive the service (api::Engine shares
-  /// one pool across every registered model this way).
+  /// `locator` must be trained; it and `pool` must outlive the service
+  /// (api::Engine shares one pool across every registered model this way).
+  /// `metric_prefix` names this service's instruments in config.registry
+  /// and its fault-injection site "<metric_prefix>.job".
   LocatorService(const core::CoLocator& locator, ThreadPool& pool,
-                 ServiceConfig config = {});
+                 const EngineConfig& config,
+                 std::string metric_prefix = "service");
 
   ~LocatorService();  ///< Blocks until in-flight jobs finish.
 
@@ -198,18 +198,6 @@ class LocatorService {
                                                     CancelFlag cancel = nullptr,
                                                     SubmitOptions options = {});
 
-  /// Like submit_view, but also reports the job's end-to-end latency
-  /// (enqueue to completion, queueing included) — the number a serving
-  /// deployment actually observes. The measurement is the same one the
-  /// `latency_ns` histogram records when telemetry is on; this wrapper just
-  /// additionally hands the per-job value back through the future.
-  struct TimedResult {
-    std::vector<std::size_t> starts;
-    double latency_seconds = 0.0;
-  };
-  std::future<TimedResult> submit_timed(std::span<const float> trace,
-                                        SubmitOptions options = {});
-
   /// The service's instrument set (all-null when constructed without a
   /// registry).
   const ServiceMetrics& metrics() const { return metrics_; }
@@ -218,10 +206,8 @@ class LocatorService {
   /// shared pool, other services' jobs are not waited for).
   void drain();
 
-  std::size_t worker_count() const { return pool_->worker_count(); }
+  std::size_t worker_count() const { return pool_.worker_count(); }
   std::size_t max_queue_depth() const { return max_depth_; }
-  std::size_t max_concurrency() const { return concurrency_cap_; }
-  std::size_t intra_op_threads() const { return intra_op_threads_; }
   std::size_t jobs_completed() const { return completed_.load(); }
   std::size_t jobs_submitted() const { return submitted_.load(); }
   // Failure-model accounting, maintained with or without telemetry (the
@@ -249,12 +235,12 @@ class LocatorService {
   static std::optional<std::chrono::steady_clock::time_point> resolve_deadline(
       const SubmitOptions& options);
 
-  /// Builds the JobRec (promise + type-erased run/fail) for a result type
-  /// and body, then runs admission via enqueue(). Defined in the .cpp; all
-  /// instantiations live there.
-  template <typename R, typename Body>
-  std::future<R> submit_impl(CancelFlag cancel, const SubmitOptions& options,
-                             Body body);
+  /// Builds the JobRec (promise + type-erased run/fail) for a locate over
+  /// `trace`, whose samples `keepalive` (if set) owns, then runs admission
+  /// via enqueue().
+  std::future<std::vector<std::size_t>> submit_impl(
+      std::span<const float> trace, std::shared_ptr<const void> keepalive,
+      CancelFlag cancel, const SubmitOptions& options);
 
   /// Admission + enqueue + dispatch for every submit flavor. May fail the
   /// job's promise with a typed error instead of queueing it
@@ -263,8 +249,8 @@ class LocatorService {
   /// when the incoming job is the victim).
   void enqueue(const JobPtr& job);
 
-  /// Pops and dispatches queued jobs into the pool while below the
-  /// concurrency cap; fails expired/cancelled jobs cheaply instead of
+  /// Pops and dispatches queued jobs into the pool while fewer jobs run
+  /// than the pool has workers; fails expired/cancelled jobs cheaply instead of
   /// dispatching them. Caller holds mutex_.
   void dispatch_locked();
 
@@ -292,14 +278,11 @@ class LocatorService {
   }
 
   const core::CoLocator& locator_;
-  std::unique_ptr<ThreadPool> owned_pool_;  ///< null when pool is external
-  ThreadPool* pool_;
+  ThreadPool& pool_;
   std::vector<nn::Workspace> scratch_;  ///< one per worker, index-addressed
   std::size_t max_depth_ = 0;
   AdmissionPolicy admission_ = AdmissionPolicy::kBlock;
-  std::size_t concurrency_cap_ = 0;   ///< resolved: >= 1
-  std::size_t intra_op_threads_ = 1;  ///< kernel fan-out budget per job
-  std::string fault_site_;            ///< "<metric_prefix>.job"
+  std::string fault_site_;  ///< "<metric_prefix>.job"
 
   std::mutex mutex_;
   std::condition_variable depth_cv_;    ///< a backpressure slot freed
@@ -325,7 +308,6 @@ class LocatorService {
   std::vector<std::uint64_t> worker_flagged_serial_;  ///< watchdog thread only
   double watchdog_multiple_ = 0.0;
   std::size_t watchdog_min_samples_ = 32;
-  std::chrono::milliseconds watchdog_poll_{20};
   std::thread watchdog_;
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;

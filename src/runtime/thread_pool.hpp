@@ -1,6 +1,6 @@
 // Fixed-size worker pool over a mutex-guarded MPMC task queue.
 //
-// Tasks receive the executing worker's index, which is how the
+// Tasks receive the executing worker's index, which is how a
 // LocatorService hands each worker a private scratch workspace while every
 // worker shares one read-only model. submit() wraps a callable into a
 // std::future for callers that want the result; post() is the
@@ -22,8 +22,7 @@
 namespace scalocate::runtime {
 
 /// Resolves a configured worker count: 0 = hardware concurrency (at least
-/// 1). Shared by ThreadPool owners (LocatorService, api::Engine) so their
-/// defaults cannot diverge.
+/// 1), as api::Engine sizes its shared pool.
 std::size_t resolve_workers(std::size_t configured);
 
 class ThreadPool {

@@ -388,8 +388,9 @@ TEST_F(ApiFacade, EngineServesMultipleCiphersSideBySide) {
 TEST_F(ApiFacade, SubmitBlocksAtMaxQueueDepth) {
   constexpr std::size_t kDepth = 2;
   constexpr std::size_t kJobs = 8;
-  runtime::LocatorService service(*locator_,
-                                  {.workers = 1, .max_queue_depth = kDepth});
+  runtime::ThreadPool pool(1);
+  runtime::LocatorService service(*locator_, pool,
+                                  {.max_queue_depth = kDepth});
   EXPECT_EQ(service.max_queue_depth(), kDepth);
 
   std::vector<std::future<std::vector<std::size_t>>> futures;

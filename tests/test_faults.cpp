@@ -18,6 +18,7 @@
 // no armed site leaks into a neighbor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -112,7 +113,8 @@ TEST_F(FaultsSuite, InjectedWorkerThrowIsTypedTransientAndAccountedFor) {
   spec.times = 2;
   injector.arm("service.job", spec);
 
-  runtime::LocatorService service(*locator_, {.workers = 2});
+  runtime::ThreadPool pool(2);
+  runtime::LocatorService service(*locator_, pool, {});
   std::vector<std::future<std::vector<std::size_t>>> futures;
   for (int i = 0; i < 6; ++i) futures.push_back(service.submit_view(eval_span()));
 
@@ -134,30 +136,66 @@ TEST_F(FaultsSuite, InjectedWorkerThrowIsTypedTransientAndAccountedFor) {
 }
 
 TEST_F(FaultsSuite, InjectedStallTripsWatchdog) {
-  runtime::ServiceConfig cfg;
-  cfg.workers = 2;
-  cfg.watchdog_p99_multiple = 3.0;
-  cfg.watchdog_min_samples = 16;
-  cfg.watchdog_poll = 5ms;
-  runtime::LocatorService service(*locator_, cfg);
+  // Through the Engine: the watchdog knobs travel in EngineConfig and the
+  // trip lands in the model's obs counter.
+  obs::Registry registry;
+  api::EngineConfig ec;
+  ec.workers = 2;
+  ec.watchdog_p99_multiple = 3.0;
+  ec.watchdog_min_samples = 16;
+  ec.registry = &registry;
+  api::Engine engine(ec);
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  const std::string model =
+      "engine." + api::metric_model_name(crypto::CipherId::kCamellia128);
+  auto& trips = registry.counter(model + ".watchdog_trips");
 
   // Establish a p99 baseline with small, fast jobs (noise-only slices).
   const auto slice = eval_span().subspan(0, 4096);
-  for (int i = 0; i < 20; ++i) service.submit_view(slice).get();
-  EXPECT_EQ(service.watchdog_trips(), 0u);
+  for (int i = 0; i < 20; ++i) session.submit_view(slice).get();
+  EXPECT_EQ(trips.value(), 0u);
 
-  // One wedged worker: stalls far past 3x the baseline p99.
+  // One wedged worker: stalls far past 3x the baseline p99. 1200 ms is
+  // that on a plain build; under TSan, where each warm-up job takes over a
+  // second, the stall stretches to 4x the slowest warm-up job.
+  session.drain();  // the last warm-up job's latency lands after its result
+  const auto slowest = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::nanoseconds(
+          registry.histogram(model + ".latency_ns").snapshot().max));
   auto& injector = runtime::FaultInjector::instance();
   runtime::FaultSpec spec;
   spec.action = runtime::FaultSpec::Action::kStall;
-  spec.stall = 1200ms;
+  spec.stall = std::max<std::chrono::milliseconds>(1200ms, 4 * slowest);
   spec.times = 1;
-  injector.arm("service.job", spec);
+  injector.arm(model + ".job", spec);
 
-  EXPECT_EQ(service.submit_view(slice).get(),
+  EXPECT_EQ(session.submit_view(slice).get(),
             locator_->locate(slice));  // flagged, never killed
-  EXPECT_EQ(injector.injected("service.job"), 1u);
-  EXPECT_EQ(service.watchdog_trips(), 1u);
+  session.drain();
+  EXPECT_EQ(injector.injected(model + ".job"), 1u);
+  EXPECT_EQ(trips.value(), 1u);
+}
+
+TEST_F(FaultsSuite, EngineFaultSiteIsNamedAfterTheModelWithoutTelemetry) {
+  // The fault site does not depend on telemetry: an Engine built without a
+  // registry still names each model's site "engine.<model>.job".
+  api::Engine engine({.workers = 1});
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+
+  const std::string site =
+      "engine." + api::metric_model_name(crypto::CipherId::kCamellia128) +
+      ".job";
+  auto& injector = runtime::FaultInjector::instance();
+  runtime::FaultSpec spec;
+  spec.action = runtime::FaultSpec::Action::kThrow;
+  spec.times = 1;
+  injector.arm(site, spec);
+
+  EXPECT_THROW(session.submit_view(eval_span()).get(), runtime::InjectedFault);
+  EXPECT_EQ(injector.injected(site), 1u);
+  EXPECT_EQ(session.submit_view(eval_span()).get(), *offline_);
 }
 
 // ---------------------------------------------------------------------------
@@ -165,7 +203,8 @@ TEST_F(FaultsSuite, InjectedStallTripsWatchdog) {
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultsSuite, ExpiredDeadlineIsRejectedBeforeQueueing) {
-  runtime::LocatorService service(*locator_, {.workers = 1});
+  runtime::ThreadPool pool(1);
+  runtime::LocatorService service(*locator_, pool, {});
   runtime::SubmitOptions options;
   options.deadline = std::chrono::steady_clock::now() - 1ms;
   auto future = service.submit_view(eval_span(), nullptr, options);
@@ -191,7 +230,8 @@ TEST_F(FaultsSuite, DeadlineExpiringInQueueFailsWithoutRunning) {
   spec.times = 1;
   injector.arm("service.job", spec);
 
-  runtime::LocatorService service(*locator_, {.workers = 1});
+  runtime::ThreadPool pool(1);
+  runtime::LocatorService service(*locator_, pool, {});
   auto blocker = service.submit_view(eval_span());
 
   runtime::SubmitOptions options;
@@ -224,11 +264,11 @@ TEST_F(FaultsSuite, RejectWhenFullThrowsOverloadedSynchronously) {
   spec.times = 1;
   injector.arm("service.job", spec);
 
-  runtime::ServiceConfig cfg;
-  cfg.workers = 1;
+  runtime::ThreadPool pool(1);
+  runtime::EngineConfig cfg;
   cfg.max_queue_depth = 1;
   cfg.admission = runtime::AdmissionPolicy::kRejectWhenFull;
-  runtime::LocatorService service(*locator_, cfg);
+  runtime::LocatorService service(*locator_, pool, cfg);
 
   auto accepted = service.submit_view(eval_span());  // fills the only slot
   try {
@@ -250,11 +290,11 @@ TEST_F(FaultsSuite, ShedByDeadlineEvictsTheLeastViableQueuedJob) {
   spec.times = 1;
   injector.arm("service.job", spec);
 
-  runtime::ServiceConfig cfg;
-  cfg.workers = 1;
+  runtime::ThreadPool pool(1);
+  runtime::EngineConfig cfg;
   cfg.max_queue_depth = 2;
   cfg.admission = runtime::AdmissionPolicy::kShedByDeadline;
-  runtime::LocatorService service(*locator_, cfg);
+  runtime::LocatorService service(*locator_, pool, cfg);
 
   const auto now = std::chrono::steady_clock::now();
   auto running = service.submit_view(eval_span());  // dispatched, stalling
@@ -525,12 +565,12 @@ TEST_F(FaultsSuite, CounterIdentitiesHoldUnderMixedChaos) {
   injector.arm("service.job", spec);
 
   obs::Registry registry;
-  runtime::ServiceConfig cfg;
-  cfg.workers = 2;
+  runtime::ThreadPool pool(2);
+  runtime::EngineConfig cfg;
   cfg.max_queue_depth = 4;
   cfg.admission = runtime::AdmissionPolicy::kRejectWhenFull;
   cfg.registry = &registry;
-  runtime::LocatorService service(*locator_, cfg);
+  runtime::LocatorService service(*locator_, pool, cfg);
 
   std::size_t ok = 0, injected_seen = 0, overloaded = 0, deadline = 0;
   std::vector<std::future<std::vector<std::size_t>>> futures;

@@ -371,7 +371,8 @@ TEST_F(RuntimeLocator, ResetAllowsReuse) {
 // ---------------------------------------------------------------------------
 
 TEST_F(RuntimeLocator, ServiceRunsConcurrentJobsAgainstSharedModel) {
-  runtime::LocatorService service(*locator_, {.workers = 4});
+  runtime::ThreadPool pool(4);
+  runtime::LocatorService service(*locator_, pool, {});
   EXPECT_EQ(service.worker_count(), 4u);
 
   constexpr std::size_t kJobs = 10;
@@ -389,7 +390,8 @@ TEST_F(RuntimeLocator, ServiceRunsConcurrentJobsAgainstSharedModel) {
 }
 
 TEST_F(RuntimeLocator, ServiceHandlesMixedAndEmptyTraces) {
-  runtime::LocatorService service(*locator_, {.workers = 3});
+  runtime::ThreadPool pool(3);
+  runtime::LocatorService service(*locator_, pool, {});
   auto empty = service.submit(std::vector<float>{});
   auto shorter = service.submit(std::vector<float>(
       eval_->samples.begin(), eval_->samples.begin() + 50000));
@@ -409,10 +411,10 @@ TEST_F(RuntimeLocator, DrainRacingSubmitNeverDeadlocksAndResolvesEveryFuture) {
   // jobs (half of them cancelled immediately). The contract under the race:
   // no deadlock, every future resolves — with the right result or with a
   // typed error — and the accounting converges.
-  runtime::ServiceConfig cfg;
-  cfg.workers = 2;
+  runtime::ThreadPool pool(2);
+  runtime::EngineConfig cfg;
   cfg.max_queue_depth = 4;  // small: drain and backpressure really contend
-  runtime::LocatorService service(*locator_, cfg);
+  runtime::LocatorService service(*locator_, pool, cfg);
 
   const auto slice = std::span<const float>(eval_->samples).subspan(0, 4096);
   const auto expected = locator_->locate(slice);
