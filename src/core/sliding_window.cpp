@@ -8,33 +8,36 @@
 
 namespace scalocate::core {
 
+namespace {
+
+/// Validates the classifier arguments before the plan is compiled from
+/// them, so a bad window or a training-mode model gets the classifier's
+/// own error message.
+const nn::Sequential& checked_model(const nn::Sequential& model,
+                                    std::size_t window, std::size_t stride) {
+  detail::require(window >= 16, "SlidingWindowClassifier: window too small");
+  detail::require(stride >= 1, "SlidingWindowClassifier: stride must be >= 1");
+  detail::require(!model.training(),
+                  "SlidingWindowClassifier: model must be in eval mode "
+                  "(call set_training(false) before classification)");
+  return model;
+}
+
+}  // namespace
+
 SlidingWindowClassifier::SlidingWindowClassifier(const nn::Sequential& model,
                                                  std::size_t window,
                                                  std::size_t stride)
-    : model_(model), window_(window), stride_(stride) {
-  detail::require(window_ >= 16, "SlidingWindowClassifier: window too small");
-  detail::require(stride_ >= 1, "SlidingWindowClassifier: stride must be >= 1");
-  detail::require(!model_.training(),
-                  "SlidingWindowClassifier: model must be in eval mode "
-                  "(call set_training(false) before classification)");
+    : window_(window),
+      stride_(stride),
+      plan_(checked_model(model, window, stride), 1, window) {
+  detail::require(plan_.output_size() >= 2,
+                  "SlidingWindowClassifier: model must output >= 2 scores");
 }
 
-void SlidingWindowClassifier::score_batch(const nn::Tensor& inputs,
-                                          float* scores_out,
-                                          nn::Workspace& ws) const {
-  const std::size_t count = inputs.dim(0);
-  nn::Tensor logits = model_.forward(inputs, ws);
-  // Linear class-1 margin (logit1 - logit0): the pre-softmax pattern the
-  // paper exploits (Section III-C), expressed relative to class 0 so the
-  // natural decision boundary sits at 0 regardless of logit scale.
-  for (std::size_t i = 0; i < count; ++i)
-    scores_out[i] = logits.at(i, 1) - logits.at(i, 0);
-}
-
-void SlidingWindowClassifier::for_each_tile(
-    std::size_t count, nn::Workspace& ws,
-    const std::function<void(std::size_t, std::size_t, nn::Workspace&)>& tile)
-    const {
+void SlidingWindowClassifier::for_each_tile(std::size_t count,
+                                            nn::Workspace& ws,
+                                            TileFn tile) const {
   const std::size_t tiles = (count + kScoreTile - 1) / kScoreTile;
   const auto run = [&](std::size_t t, nn::Workspace& lane) {
     const std::size_t first = t * kScoreTile;
@@ -63,8 +66,10 @@ void SlidingWindowClassifier::score_into(std::span<const float> trace_samples,
                                          std::span<float> scores_out,
                                          nn::Workspace& ws) const {
   const std::size_t n_windows = num_windows(trace_samples.size());
-  detail::require(scores_out.size() >= n_windows,
-                  "SlidingWindowClassifier::score_into: scores_out too small");
+  // Not detail::require: its std::string message would allocate per call.
+  if (scores_out.size() < n_windows)
+    throw InvalidArgument(
+        "SlidingWindowClassifier::score_into: scores_out too small");
   score_window_batch(
       n_windows,
       [&](std::size_t i) { return trace_samples.subspan(i * stride_, window_); },

@@ -8,10 +8,14 @@
 //
 // score_window_batch is the one scoring path and the one place that
 // parallelises it. CoLocator (via score_into), StreamingLocator, and
-// runtime::WindowBatcher all hand it their windows. It cuts them into
-// tiles of kScoreTile windows and, per tile, standardizes each window
-// straight from the caller's span into a workspace staging tensor (no
-// per-window copies) and runs the whole forward pass:
+// runtime::WindowBatcher all hand it their windows. The constructor
+// compiles the model into an nn::EvalPlan; score_window_batch cuts the
+// windows into tiles of kScoreTile and, per tile, standardizes each window
+// straight from the caller's span into the input region of the lane's
+// plan arena (no per-window copies) and runs the plan. A warmed-up
+// workspace scores without a heap allocation at intra-op budget 1:
+// the arena and pack buffers only grow for a larger tile than any before,
+// and tile dispatch is a non-owning function reference.
 //
 //   tiles >= 2, intra-op budget > 1,      min(budget, tiles) workers on
 //   caller not in a parallel region  -->  kernels::parallel_for; each takes
@@ -29,16 +33,18 @@
 // at once (a pure read of the caller's samples).
 //
 // The classifier never mutates the model: it requires an eval-mode network
-// and routes every forward pass through a caller-owned (or per-classifier)
-// nn::Workspace, so one trained model can serve many concurrent
-// classifiers (see runtime/locator_service).
+// and runs every plan in a caller-owned (or per-classifier) nn::Workspace,
+// so one trained model can serve many concurrent classifiers (see
+// runtime/locator_service). The plan reads the model's weights in place
+// and snapshots its batch-norm statistics: build a new classifier after
+// the model changes.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "core/params.hpp"
+#include "nn/eval_plan.hpp"
 #include "nn/kernels/pointwise.hpp"
 #include "nn/sequential.hpp"
 
@@ -58,8 +64,9 @@ class SlidingWindowClassifier {
   /// Windows per forward pass: the unit score_window_batch schedules.
   static constexpr std::size_t kScoreTile = 32;
 
-  /// `model` must be in eval mode (set_training(false)) and must outlive
-  /// the classifier.
+  /// `model` must be in eval mode (set_training(false)), must map
+  /// [B, 1, window] to [B, >= 2] class scores, and must outlive the
+  /// classifier. Compiles the model's eval plan.
   SlidingWindowClassifier(const nn::Sequential& model, std::size_t window,
                           std::size_t stride);
 
@@ -86,50 +93,66 @@ class SlidingWindowClassifier {
     return classify(trace_samples, scratch_);
   }
 
-  /// Scores `count` pre-extracted, pre-standardized windows laid out
-  /// contiguously in `inputs` ([count, 1, window]). Used by the streaming
-  /// locator, which standardizes windows as they leave its ring buffer.
-  void score_batch(const nn::Tensor& inputs, float* scores_out,
-                   nn::Workspace& ws) const;
-
   /// The zero-copy scoring path shared by the offline (score_into),
   /// streaming (StreamingLocator) and batched (WindowBatcher) callers:
   /// standardizes windows `window_at(0..count)` — each a window()-long
-  /// span — into workspace staging tensors and scores them into
+  /// span — into the plan's input region and scores them into
   /// `scores_out`, tile by tile (see the header comment for the schedule).
-  /// `window_at` may be called concurrently. Staging tensors and worker
-  /// lanes of `ws` keep their allocations across calls.
+  /// `window_at` may be called concurrently. The arena and worker lanes
+  /// of `ws` keep their allocations across calls.
   template <typename WindowAt>
   void score_window_batch(std::size_t count, WindowAt&& window_at,
                           float* scores_out, nn::Workspace& ws) const {
-    for_each_tile(count, ws, [&](std::size_t first, std::size_t n,
-                                 nn::Workspace& lane) {
-      nn::Tensor& inputs = lane.staging();
-      if (inputs.rank() != 3 || inputs.dim(0) != n || inputs.dim(1) != 1 ||
-          inputs.dim(2) != window_)
-        inputs.resize({n, 1, window_});
+    auto tile = [&](std::size_t first, std::size_t n, nn::Workspace& lane) {
+      float* inputs = plan_.input(n, lane);
       for (std::size_t i = 0; i < n; ++i)
-        nn::kernels::standardize(window_at(first + i),
-                                 inputs.data() + i * window_);
-      score_batch(inputs, scores_out + first, lane);
-    });
+        nn::kernels::standardize(window_at(first + i), inputs + i * window_);
+      const float* logits = plan_.run(n, lane);
+      // Linear class-1 margin (logit1 - logit0): the pre-softmax pattern
+      // the paper exploits (Section III-C), expressed relative to class 0
+      // so the natural decision boundary sits at 0 regardless of scale.
+      const std::size_t classes = plan_.output_size();
+      for (std::size_t i = 0; i < n; ++i)
+        scores_out[first + i] =
+            logits[i * classes + 1] - logits[i * classes];
+    };
+    for_each_tile(count, ws, TileFn(tile));
   }
 
   std::size_t window() const { return window_; }
   std::size_t stride() const { return stride_; }
 
  private:
+  /// Non-owning reference to a tile callback. Unlike std::function it
+  /// never allocates, whatever the size of the closure it refers to.
+  class TileFn {
+   public:
+    template <typename F>
+    explicit TileFn(F& f)
+        : object_(&f),
+          call_([](void* object, std::size_t first, std::size_t n,
+                   nn::Workspace& lane) {
+            (*static_cast<F*>(object))(first, n, lane);
+          }) {}
+    void operator()(std::size_t first, std::size_t n,
+                    nn::Workspace& lane) const {
+      call_(object_, first, n, lane);
+    }
+
+   private:
+    void* object_;
+    void (*call_)(void*, std::size_t, std::size_t, nn::Workspace&);
+  };
+
   /// Runs tile(first, n, lane) over [0, count) in kScoreTile pieces,
   /// either in order on the caller with lane = `ws` or on parallel
   /// workers, each with its own lane of `ws`.
-  void for_each_tile(
-      std::size_t count, nn::Workspace& ws,
-      const std::function<void(std::size_t, std::size_t, nn::Workspace&)>&
-          tile) const;
+  void for_each_tile(std::size_t count, nn::Workspace& ws,
+                     TileFn tile) const;
 
-  const nn::Sequential& model_;
   std::size_t window_;
   std::size_t stride_;
+  nn::EvalPlan plan_;
   mutable nn::Workspace scratch_;
 };
 

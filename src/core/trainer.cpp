@@ -1,9 +1,11 @@
 #include "core/trainer.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/error.hpp"
 #include "nn/dataloader.hpp"
+#include "nn/eval_plan.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
@@ -16,27 +18,46 @@ Trainer::Trainer(const PipelineParams& params, std::uint64_t seed)
 std::pair<double, ConfusionMatrix> Trainer::evaluate(
     nn::Sequential& model, const WindowDataset& data) const {
   model.set_training(false);
-  nn::DataLoader loader(data.windows, data.labels, params_.batch_size,
-                        /*shuffle_seed=*/1, /*shuffle=*/false);
+  ConfusionMatrix cm;
+  if (data.size() == 0) return {0.0, cm};
+  detail::require(params_.batch_size >= 1,
+                  "Trainer::evaluate: batch_size must be >= 1");
+  detail::require(data.labels.size() == data.size(),
+                  "Trainer::evaluate: windows/labels size mismatch");
+  // The scoring path's eval plan over the stored (already standardized)
+  // windows, in order, batch_size at a time.
+  const std::size_t length = data.windows.front().size();
+  const nn::EvalPlan plan(model, 1, length);
   nn::SoftmaxCrossEntropy loss_fn;
   nn::Workspace ws;
   double loss_acc = 0.0;
   std::size_t batches = 0;
-  ConfusionMatrix cm;
-
-  nn::Batch batch;
-  loader.start_epoch();
-  while (loader.next(batch)) {
-    nn::Tensor logits = model.forward(batch.inputs, ws);
-    loss_acc += static_cast<double>(loss_fn.forward(logits, batch.labels));
+  std::vector<std::uint8_t> labels;
+  for (std::size_t first = 0; first < data.size();
+       first += params_.batch_size) {
+    const std::size_t n = std::min(params_.batch_size, data.size() - first);
+    float* inputs = plan.input(n, ws);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<float>& w = data.windows[first + i];
+      detail::require(w.size() == length,
+                      "Trainer::evaluate: ragged window lengths");
+      std::copy(w.begin(), w.end(), inputs + i * length);
+    }
+    const float* out = plan.run(n, ws);
+    nn::Tensor logits({n, plan.output_size()});
+    std::copy(out, out + logits.numel(), logits.data());
+    const auto label_at =
+        data.labels.begin() + static_cast<std::ptrdiff_t>(first);
+    labels.assign(label_at, label_at + static_cast<std::ptrdiff_t>(n));
+    loss_acc += static_cast<double>(loss_fn.forward(logits, labels));
     ++batches;
-    for (std::size_t b = 0; b < batch.labels.size(); ++b) {
+    for (std::size_t b = 0; b < n; ++b) {
       const std::uint8_t pred =
           logits.at(b, 1) > logits.at(b, 0) ? std::uint8_t{1} : std::uint8_t{0};
-      cm.add(batch.labels[b], pred);
+      cm.add(labels[b], pred);
     }
   }
-  return {batches > 0 ? loss_acc / static_cast<double>(batches) : 0.0, cm};
+  return {loss_acc / static_cast<double>(batches), cm};
 }
 
 TrainReport Trainer::fit(nn::Sequential& model,

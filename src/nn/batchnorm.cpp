@@ -84,7 +84,7 @@ Tensor BatchNorm1d::forward(const Tensor& input, Workspace& ws) const {
         }
       }
     } else {
-      // Eval (serving) path: fused single-precision normalize + affine —
+      // Eval path: fused single-precision normalize + affine —
       // one pass writes both the xhat cache and the output row.
       for (std::size_t b = 0; b < batch; ++b) {
         const std::size_t off = (b * channels_ + c) * n;
@@ -102,18 +102,11 @@ double BatchNorm1d::inv_std(double var) const {
   return 1.0 / std::sqrt(var + eps_);
 }
 
-kernels::BnRelu BatchNorm1d::eval_bn_relu(Workspace& ws) const {
-  Workspace::Slot& slot = ws.slot(this);
-  slot.a = Tensor();
-  // [mean | 1/std], rounded to float exactly as the eval forward does.
-  slot.scalars.resize(2 * channels_);
-  float* mean = slot.scalars.data();
-  float* inv = mean + channels_;
-  for (std::size_t c = 0; c < channels_; ++c) {
-    mean[c] = running_mean_[c];
+std::vector<float> BatchNorm1d::eval_inv_std() const {
+  std::vector<float> inv(channels_);
+  for (std::size_t c = 0; c < channels_; ++c)
     inv[c] = static_cast<float>(inv_std(running_var_[c]));
-  }
-  return {mean, inv, gamma_.value.data(), beta_.value.data()};
+  return inv;
 }
 
 Tensor BatchNorm1d::backward(const Tensor& grad_output, Workspace& ws) {

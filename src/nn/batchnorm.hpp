@@ -5,7 +5,6 @@
 // in training mode; running estimates are used in eval mode.
 #pragma once
 
-#include "nn/kernels/gemm.hpp"
 #include "nn/layer.hpp"
 
 namespace scalocate::nn {
@@ -25,15 +24,15 @@ class BatchNorm1d final : public Layer {
   }
   std::string name() const override;
 
-  /// Eval-mode forward folded into the preceding convolution: stores the
-  /// per-channel mean and 1/std that forward() would apply in this layer's
-  /// workspace slot (dropping any cached xhat, so a stray backward fails
-  /// loudly) and returns the epilogue that applies them, then a ReLU, to
-  /// the conv accumulators. Valid until the slot is next written.
-  kernels::BnRelu eval_bn_relu(Workspace& ws) const;
+  /// Per-channel 1/std that the eval-mode forward applies, rounded to
+  /// float exactly as it rounds it (nn::EvalPlan folds these into its
+  /// conv epilogues).
+  std::vector<float> eval_inv_std() const;
 
   Param& gamma() { return gamma_; }
   Param& beta() { return beta_; }
+  const Param& gamma() const { return gamma_; }
+  const Param& beta() const { return beta_; }
   std::span<const float> running_mean() const { return running_mean_; }
   std::span<const float> running_var() const { return running_var_; }
 

@@ -40,23 +40,12 @@ bool Conv1d::is_pointwise() const {
 }
 
 Tensor Conv1d::forward(const Tensor& input, Workspace& ws) const {
-  return run_forward(input, ws, nullptr);
-}
-
-Tensor Conv1d::forward_bn_relu(const Tensor& input, Workspace& ws,
-                               const kernels::BnRelu& bn_relu) const {
-  detail::require(!training_, "Conv1d::forward_bn_relu: eval mode only");
-  return run_forward(input, ws, &bn_relu);
-}
-
-Tensor Conv1d::run_forward(const Tensor& input, Workspace& ws,
-                           const kernels::BnRelu* bn_relu) const {
   detail::require(input.rank() == 3 && input.dim(1) == in_channels_,
                   "Conv1d::forward: expected [B, Cin, N], got " +
                       input.shape_string());
-  // The input is retained only for backward; eval-mode forward (the serving
-  // hot path) skips the copy and leaves the slot empty so a stray backward
-  // fails loudly instead of using stale activations.
+  // The input is retained only for backward; eval-mode forward skips the
+  // copy and leaves the slot empty so a stray backward fails loudly
+  // instead of using stale activations.
   ws.slot(this).a = training_ ? input : Tensor();
 
   const std::size_t batch = input.dim(0);
@@ -71,7 +60,7 @@ Tensor Conv1d::run_forward(const Tensor& input, Workspace& ws,
   kernels::sgemm_conv(out_channels_, out_len, batch, weight_.value.data(),
                       bias_.value.data(), input.data(), in_channels_, n,
                       kernel_size_, stride_, pad_left_, out.data(),
-                      ws.kernels().gemm, bn_relu);
+                      ws.kernels().gemm);
   return out;
 }
 

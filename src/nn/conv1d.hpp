@@ -28,14 +28,10 @@ class Conv1d final : public Layer {
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::string name() const override;
 
-  /// Eval-mode forward with BatchNorm1d + ReLU fused into the kernel's
-  /// store (see BatchNorm1d::eval_bn_relu); Sequential runs every eval
-  /// Conv1d -> BatchNorm1d -> ReLU triple through this. Caches nothing.
-  Tensor forward_bn_relu(const Tensor& input, Workspace& ws,
-                         const kernels::BnRelu& bn_relu) const;
-
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
+  const Param& weight() const { return weight_; }
+  const Param& bias() const { return bias_; }
   std::size_t in_channels() const { return in_channels_; }
   std::size_t out_channels() const { return out_channels_; }
   std::size_t kernel_size() const { return kernel_size_; }
@@ -47,9 +43,6 @@ class Conv1d final : public Layer {
   std::size_t output_length(std::size_t n) const;
 
  private:
-  Tensor run_forward(const Tensor& input, Workspace& ws,
-                     const kernels::BnRelu* bn_relu) const;
-
   /// 1x1 stride-1 unpadded convolutions skip im2col: the input already is
   /// the column matrix.
   bool is_pointwise() const;

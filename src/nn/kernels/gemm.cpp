@@ -4,6 +4,7 @@
 
 #include "nn/kernels/gemm_blocked.hpp"
 #include "nn/kernels/parallel.hpp"
+#include "nn/kernels/pointwise.hpp"
 
 #if defined(SCALOCATE_PROFILE)
 #include <map>
@@ -66,12 +67,15 @@ void bn_relu_inplace(float* out, std::size_t batch, std::size_t cout,
                      std::size_t out_len, const BnRelu& epi) {
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t c = 0; c < cout; ++c) {
-      float* row = out + (b * cout + c) * out_len;
+      const std::size_t off = (b * cout + c) * out_len;
+      float* row = out + off;
       for (std::size_t i = 0; i < out_len; ++i) {
         const float h = (row[i] - epi.mean[c]) * epi.inv_std[c];
         const float y = epi.gamma[c] * h + epi.beta[c];
         row[i] = y > 0.0f ? y : 0.0f;
       }
+      if (epi.residual != nullptr)
+        add_inplace(out_len, epi.residual + off, row);
     }
   }
 }
@@ -320,9 +324,12 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
       const std::size_t chunks = std::min(budget, batch);
       parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
         const auto [b0, len] = chunk_range(batch, chunks, ci);
+        BnRelu items = bn_relu != nullptr ? *bn_relu : BnRelu{};
+        if (items.residual != nullptr) items.residual += b0 * cout * out_len;
         sgemm_conv_st(isa, cout, out_len, len, w, bias, x + b0 * cin * n,
                       cin, n, kernel, stride, pad_left,
-                      out + b0 * cout * out_len, bn_relu, ls);
+                      out + b0 * cout * out_len,
+                      bn_relu != nullptr ? &items : nullptr, ls);
       });
       return;
     }
@@ -341,7 +348,10 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
         BnRelu slab{};
         if (bn_relu != nullptr)
           slab = {bn_relu->mean + c0, bn_relu->inv_std + c0,
-                  bn_relu->gamma + c0, bn_relu->beta + c0};
+                  bn_relu->gamma + c0, bn_relu->beta + c0,
+                  bn_relu->residual != nullptr
+                      ? bn_relu->residual + c0 * out_len
+                      : nullptr};
         sgemm_conv_st(isa, len, out_len, batch, w + c0 * cin * kernel,
                       bias != nullptr ? bias + c0 : nullptr, x, cin, n,
                       kernel, stride, pad_left, out + c0 * out_len,

@@ -87,12 +87,19 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// h = (acc - mean) * inv_std; y = gamma * h + beta; out = y > 0 ? y : 0,
 /// each op rounded separately (no FMA contraction), so a fused conv block
 /// is bit-identical to Conv1d -> BatchNorm1d -> ReLU run layer by layer.
-/// Every pointer addresses one float per output channel.
+/// mean/inv_std/gamma/beta address one float per output channel.
+///
+/// A non-null `residual` (laid out like the conv output, [batch, cout,
+/// out_len]) is added after the ReLU: out = relu(y) + residual. That is
+/// the one rounded add Residual::forward's add_inplace makes, so the
+/// last conv block of a residual branch can absorb its shortcut and stay
+/// bit-identical to the layer graph.
 struct BnRelu {
   const float* mean;
   const float* inv_std;
   const float* gamma;
   const float* beta;
+  const float* residual = nullptr;
 };
 
 /// Fused batched convolution forward:
@@ -132,7 +139,8 @@ Isa active_isa();
 
 /// Test seam: caps the calling thread's dispatch tier for its lifetime, so
 /// the cross-tier parity tests can run two tiers on one host. The tier is
-/// resolved on the calling thread, so threaded kernel calls honour it.
+/// resolved on the calling thread and handed to every parallel_for chunk,
+/// so threaded kernel calls and tile-parallel scoring honour it.
 class IsaCapGuard {
  public:
   explicit IsaCapGuard(Isa cap);

@@ -71,8 +71,9 @@ static inline V rounded(V v) {
 /// float loops — out of the ISA TUs for the same reason.
 float* grow(std::vector<float>& buf, std::size_t count);
 float* grow_zeroed(std::vector<float>& buf, std::size_t count);
-/// The BnRelu epilogue as a pass over a finished [batch, cout, out_len]
-/// output (strided convolutions, whose GEMM accumulates over k-panels).
+/// The BnRelu epilogue (residual included) as a pass over a finished
+/// [batch, cout, out_len] output (strided convolutions, whose GEMM
+/// accumulates over k-panels).
 void bn_relu_inplace(float* out, std::size_t batch, std::size_t cout,
                      std::size_t out_len, const BnRelu& epi);
 
@@ -378,7 +379,8 @@ void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// Every output is bias, then + x * w over channels and taps in that
 /// order, whatever the tile: tiers whose compilers emit FMAs for the
 /// update produce bit-identical results. A non-null `bn_relu` is applied
-/// to the accumulators before the store.
+/// to the accumulators before the store, its residual (if any) to the
+/// stored rows only.
 template <std::size_t MRC, std::size_t NR, std::size_t VL>
 void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
                  const float* w, const float* bias, const float* x,
@@ -409,9 +411,12 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
                      (cout - full_rows) * wrow_stride * sizeof(float));
   }
 
+  const float* residual = bn_relu != nullptr ? bn_relu->residual : nullptr;
   for (std::size_t b = 0; b < batch; ++b) {
     const float* xi = x + b * cin * n;
     float* ob = out + b * cout * out_len;
+    const float* rb = residual != nullptr ? residual + b * cout * out_len
+                                          : nullptr;
     for (std::size_t ci = 0; ci < cin; ++ci)
       __builtin_memcpy(xpad + ci * np + pad_left, xi + ci * n,
                        n * sizeof(float));
@@ -459,16 +464,28 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
             }
           }
         }
+        // Padded rows are neither stored nor given a residual: the
+        // shortcut tensor has only `cout` rows.
         for (std::size_t ir = 0; ir < mc; ++ir) {
           float* crow = ob + (co0 + ir) * out_len + j0;
+          const float* rrow =
+              rb != nullptr ? rb + (co0 + ir) * out_len + j0 : nullptr;
           if (nr == NR) {
-            for (std::size_t v = 0; v < NV; ++v)
-              __builtin_memcpy(crow + v * VL, &acc[ir][v], sizeof(vf));
+            for (std::size_t v = 0; v < NV; ++v) {
+              vf y = acc[ir][v];
+              if (rrow != nullptr) {
+                vf r;
+                __builtin_memcpy(&r, rrow + v * VL, sizeof(vf));
+                y += r;
+              }
+              __builtin_memcpy(crow + v * VL, &y, sizeof(vf));
+            }
           } else {
             float tail[NR];
             for (std::size_t v = 0; v < NV; ++v)
               __builtin_memcpy(tail + v * VL, &acc[ir][v], sizeof(vf));
-            for (std::size_t jr = 0; jr < nr; ++jr) crow[jr] = tail[jr];
+            for (std::size_t jr = 0; jr < nr; ++jr)
+              crow[jr] = rrow != nullptr ? tail[jr] + rrow[jr] : tail[jr];
           }
         }
       }

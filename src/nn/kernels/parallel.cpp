@@ -7,6 +7,7 @@
 #include <mutex>
 #include <thread>
 
+#include "nn/kernels/gemm.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace scalocate::nn::kernels {
@@ -34,6 +35,7 @@ struct RegionGuard {
 /// Completion latch shared between the caller and the posted chunks.
 struct ForkJoin {
   const std::function<void(std::size_t)>* fn = nullptr;
+  detail::Isa isa = detail::Isa::kPortable;  ///< the caller's kernel tier
   std::mutex mutex;
   std::condition_variable done_cv;
   std::size_t remaining = 0;         ///< posted chunks still running
@@ -41,6 +43,8 @@ struct ForkJoin {
 
   void run_chunk(std::size_t chunk) noexcept {
     RegionGuard region;
+    // Pool workers dispatch on the caller's tier, not their own default.
+    detail::IsaCapGuard cap(isa);
     try {
       (*fn)(chunk);
     } catch (...) {
@@ -134,6 +138,7 @@ void parallel_for(std::size_t chunks,
 
   ForkJoin join;
   join.fn = &fn;
+  join.isa = detail::active_isa();
   join.remaining = chunks - 1;
   for (std::size_t c = 1; c < chunks; ++c) {
     pool.post([&join, c](std::size_t /*worker*/) {

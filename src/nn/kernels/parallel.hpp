@@ -94,10 +94,11 @@ bool in_parallel_region();
 runtime::ThreadPool* compute_pool();
 
 /// Runs fn(chunk) for every chunk in [0, chunks). Chunk 0 executes on the
-/// calling thread; the rest are posted to the compute pool. Returns after
-/// every chunk completed; the first exception (if any) is rethrown on the
-/// caller. Chunks must touch disjoint outputs. Inside a parallel region
-/// (or with chunks <= 1) the chunks run inline, in order.
+/// calling thread; the rest are posted to the compute pool. Every chunk
+/// dispatches kernels on the caller's tier (detail::IsaCapGuard included).
+/// Returns after every chunk completed; the first exception (if any) is
+/// rethrown on the caller. Chunks must touch disjoint outputs. Inside a
+/// parallel region (or with chunks <= 1) the chunks run inline, in order.
 void parallel_for(std::size_t chunks,
                   const std::function<void(std::size_t)>& fn);
 

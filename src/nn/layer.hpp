@@ -7,6 +7,11 @@
 // synchronization (the runtime/ LocatorService relies on this). backward
 // reads the caches the paired forward left in the same workspace, so
 // callers must pass one workspace per in-flight forward/backward pair.
+//
+// The Workspace also owns the activation arena of nn::EvalPlan, the
+// compiled eval path window scoring runs: one flat float buffer per lane,
+// allocated on first use for the largest tile seen and then reused, so
+// steady-state scoring allocates nothing.
 #pragma once
 
 #include <memory>
@@ -45,10 +50,13 @@ struct KernelScratch {
 
 /// Caller-owned scratch holding the per-layer activations a backward pass
 /// needs. Slots are keyed by layer identity, so a single workspace serves a
-/// whole module tree (Sequential/Residual children included). Reusing one
-/// workspace across calls avoids reallocation; it is NOT safe to share one
-/// workspace between concurrent forward passes — concurrent passes on
-/// behalf of one caller each take their own lane().
+/// whole module tree (Sequential/Residual children included). It also
+/// owns the activation arena an nn::EvalPlan runs in: one flat buffer,
+/// sized on first use for the largest tile the workspace has scored and
+/// reused by every later run. Reusing one workspace across calls avoids
+/// reallocation; it is NOT safe to share one workspace between concurrent
+/// forward passes — concurrent passes on behalf of one caller each take
+/// their own lane().
 class Workspace {
  public:
   struct Slot {
@@ -58,16 +66,14 @@ class Workspace {
   };
 
   Workspace() = default;
-  // Like GemmScratch, a copy starts without lanes: they are transient
-  // per-worker scratch regrown on demand.
+  // Like GemmScratch, a copy starts without lanes or arena: they are
+  // transient per-worker scratch regrown on demand.
   Workspace(const Workspace& other)
-      : slots_(other.slots_),
-        kernel_scratch_(other.kernel_scratch_),
-        staging_(other.staging_) {}
+      : slots_(other.slots_), kernel_scratch_(other.kernel_scratch_) {}
   Workspace& operator=(const Workspace& other) {
     slots_ = other.slots_;
     kernel_scratch_ = other.kernel_scratch_;
-    staging_ = other.staging_;
+    arena_.clear();
     extra_lanes_.clear();
     return *this;
   }
@@ -94,15 +100,22 @@ class Workspace {
   /// so const, thread-shared layers stay allocation- and state-free.
   KernelScratch& kernels() { return kernel_scratch_; }
 
-  /// Reusable input-staging tensor for batched window scoring: callers
-  /// standardize trace windows directly into this tensor and hand it to
-  /// the model, avoiding any per-window staging copies.
-  Tensor& staging() { return staging_; }
+  /// Activation arena of nn::EvalPlan: at least `floats` floats. It grows
+  /// only when a call asks for more than any earlier one (a larger tile)
+  /// and is never shrunk, so a warmed-up lane scores without allocating.
+  /// Contents do not survive growth.
+  float* arena(std::size_t floats) {
+    if (arena_.size() < floats) {
+      arena_.clear();
+      arena_.resize(floats);
+    }
+    return arena_.data();
+  }
 
  private:
   std::unordered_map<const Layer*, Slot> slots_;
   KernelScratch kernel_scratch_;
-  Tensor staging_;
+  std::vector<float> arena_;
   std::vector<std::unique_ptr<Workspace>> extra_lanes_;
 };
 
@@ -113,7 +126,7 @@ class Workspace {
 /// forward passes are therefore not thread-safe; eval-mode passes are).
 ///
 /// In eval mode the stateless layers skip their backward-only caches
-/// entirely (no input copies on the serving path) and clear the slot, so
+/// entirely (no input copies) and clear the slot, so
 /// backward after an eval-mode forward throws. BatchNorm1d still caches in
 /// eval mode: its eval-mode backward is part of the tested contract.
 class Layer {

@@ -19,6 +19,8 @@ class Linear final : public Layer {
 
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
+  const Param& weight() const { return weight_; }
+  const Param& bias() const { return bias_; }
   std::size_t in_features() const { return in_features_; }
   std::size_t out_features() const { return out_features_; }
 

@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "nn/activations.hpp"
-#include "nn/batchnorm.hpp"
 #include "nn/kernels/pointwise.hpp"
 
 namespace scalocate::nn {
@@ -18,29 +16,9 @@ Sequential& Sequential::add(LayerPtr layer) {
 Tensor Sequential::forward(const Tensor& input, Workspace& ws) const {
   if (layers_.empty()) return input;
   // First layer reads `input` directly (no staging copy of the batch).
-  Tensor x;
-  const Tensor* in = &input;
-  for (std::size_t i = 0; i < layers_.size(); in = &x) {
-    // An eval-mode Conv1d -> BatchNorm1d -> ReLU runs as one conv kernel
-    // call: BatchNorm and ReLU are applied to the accumulators before the
-    // store, with the same arithmetic, so the output is bit-identical.
-    const bool triple = i + 2 < layers_.size();
-    const auto* conv = dynamic_cast<const Conv1d*>(layers_[i].get());
-    const auto* bn =
-        triple ? dynamic_cast<const BatchNorm1d*>(layers_[i + 1].get())
-               : nullptr;
-    const auto* relu =
-        triple ? dynamic_cast<const ReLU*>(layers_[i + 2].get()) : nullptr;
-    if (conv != nullptr && bn != nullptr && relu != nullptr &&
-        !conv->training() && !bn->training() && !relu->training()) {
-      ws.slot(relu).a = Tensor();
-      x = conv->forward_bn_relu(*in, ws, bn->eval_bn_relu(ws));
-      i += 3;
-    } else {
-      x = layers_[i]->forward(*in, ws);
-      ++i;
-    }
-  }
+  Tensor x = layers_.front()->forward(input, ws);
+  for (std::size_t i = 1; i < layers_.size(); ++i)
+    x = layers_[i]->forward(x, ws);
   return x;
 }
 

@@ -2,12 +2,17 @@
 // ResNet shortcut y = F(x) + P(x), where P is the identity when shapes
 // match and a 1x1 projection convolution otherwise (the paper's second
 // residual block widens 16 -> 32 channels).
+//
+// forward() runs every layer as itself, in training and in eval mode: the
+// graph does no eval-time fusion. It is the reference the serving path is
+// tested against; scoring runs an nn::EvalPlan compiled from the graph
+// (fused conv epilogues, one activation arena), which must reproduce this
+// forward bit for bit.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "nn/conv1d.hpp"
 #include "nn/layer.hpp"
 
 namespace scalocate::nn {
@@ -39,6 +44,7 @@ class Sequential : public Layer {
 
   std::size_t size() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
+  const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
  private:
   std::vector<LayerPtr> layers_;
@@ -62,7 +68,10 @@ class Residual final : public Layer {
   std::string name() const override { return "Residual"; }
 
   Layer& main() { return *main_; }
+  const Layer& main() const { return *main_; }
   bool has_projection() const { return projection_ != nullptr; }
+  /// The shortcut's projection, or null for an identity shortcut.
+  const Layer* projection() const { return projection_.get(); }
 
  private:
   LayerPtr main_;

@@ -57,17 +57,6 @@ Tensor& Tensor::reshape(std::vector<std::size_t> new_shape) {
   return *this;
 }
 
-Tensor& Tensor::resize(std::vector<std::size_t> new_shape) {
-  std::size_t n = 1;
-  for (std::size_t d : new_shape) n *= d;
-  shape_ = std::move(new_shape);
-  compute_strides();
-  // vector::resize keeps the allocation on shrink and regrow-within-
-  // capacity, so a reused staging tensor settles into one allocation.
-  data_.resize(n, 0.0f);
-  return *this;
-}
-
 std::string Tensor::shape_string() const {
   std::ostringstream os;
   os << "(";

@@ -75,19 +75,11 @@ class Tensor {
   Tensor reshaped(std::vector<std::size_t> new_shape) const;
 
   /// In-place metadata-only reshape: the storage is reused (no realloc, no
-  /// copy; data() stays valid), so im2col round-trips and batch staging can
-  /// re-view one allocation. The new shape must have the same numel.
+  /// copy; data() stays valid), so one allocation can be re-viewed. The
+  /// new shape must have the same numel.
   Tensor& reshape(std::vector<std::size_t> new_shape);
   Tensor& reshape(std::initializer_list<std::size_t> new_shape) {
     return reshape(std::vector<std::size_t>(new_shape));
-  }
-
-  /// Reshapes reusing the existing allocation when the new numel fits the
-  /// current storage capacity, reallocating (zero-filled) only on growth.
-  /// For reusable staging tensors (batched window scoring).
-  Tensor& resize(std::vector<std::size_t> new_shape);
-  Tensor& resize(std::initializer_list<std::size_t> new_shape) {
-    return resize(std::vector<std::size_t>(new_shape));
   }
 
   /// "(2, 16, 192)" -- for error messages and summaries.

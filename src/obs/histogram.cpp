@@ -95,18 +95,25 @@ double Histogram::Snapshot::quantile(double q) const {
   if (count == 0) return 0.0;
   if (q <= 0.0) return static_cast<double>(min);
   if (q >= 1.0) return static_cast<double>(max);
-  // Same rank convention as percentile_sorted: the sample at fractional
-  // position q*(n-1) of the sorted sequence — answered at its bucket's
-  // midpoint, clamped into the exact [min, max] envelope.
-  const auto rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(count - 1));
+  // Same convention as percentile_sorted: linear interpolation between the
+  // samples at ranks floor(q*(n-1)) and the next one, each answered at its
+  // bucket's midpoint clamped into the exact [min, max] envelope.
+  const double pos = q * static_cast<double>(count - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const std::uint64_t hi = std::min(lo + 1, count - 1);
+  double v_lo = 0.0;
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
+    if (buckets[i] == 0) continue;
+    const std::uint64_t before = cum;
     cum += buckets[i];
-    if (cum > rank) {
-      const double v = static_cast<double>(bucket_midpoint(i));
-      return std::clamp(v, static_cast<double>(min), static_cast<double>(max));
-    }
+    if (cum <= lo) continue;
+    const double v = std::clamp(static_cast<double>(bucket_midpoint(i)),
+                                static_cast<double>(min),
+                                static_cast<double>(max));
+    if (before <= lo) v_lo = v;  // this bucket holds rank lo
+    if (cum > hi) return v_lo * (1.0 - frac) + v * frac;  // and rank hi
   }
   return static_cast<double>(max);
 }

@@ -7,8 +7,8 @@
 //     computation (bit twiddling) and a handful of relaxed atomic RMWs;
 //   - writers from many threads land on per-thread shards (cacheline
 //     padded) so concurrent recording does not ping-pong one bucket array;
-//   - snapshots merge the shards and answer exact-rank quantile queries
-//     with bounded relative error.
+//   - snapshots merge the shards and answer interpolated quantile
+//     queries with bounded relative error.
 //
 // Bucketing is HDR-style base-2-with-sub-buckets: values below 2^kSubBits
 // get exact unit buckets; above, each power-of-two octave is split into
@@ -32,8 +32,8 @@ namespace scalocate::obs {
 /// Linear-interpolated percentile over unsorted samples, q clamped into
 /// [0, 1]. Empty input returns 0. This is THE exact-percentile
 /// implementation of the codebase (bench_common's percentile() forwards
-/// here); Histogram::Snapshot::quantile uses the same rank convention
-/// (pos = q * (n - 1)) over its merged buckets.
+/// here); Histogram::Snapshot::quantile interpolates the same way
+/// (between the ranks around q * (n - 1)) over its merged buckets.
 double percentile(std::vector<double> values, double q);
 
 /// Same, over samples the caller has already sorted ascending.
@@ -73,7 +73,8 @@ class Histogram {
     std::uint64_t max = 0;  ///< exact largest recorded value
     std::array<std::uint64_t, kBuckets> buckets{};
 
-    /// Exact-rank quantile answered at bucket midpoints; q clamped to
+    /// Quantile with percentile_sorted's interpolation between the ranks
+    /// around q*(n-1), each answered at its bucket midpoint; q clamped to
     /// [0, 1]. q=0 returns the exact min, q=1 the exact max.
     double quantile(double q) const;
     double mean() const {

@@ -81,7 +81,7 @@ std::vector<Detection> StreamingLocator::feed(std::span<const float> chunk) {
   ring_.append(data);
   // Score every window fully contained in the stream so far in one
   // score_window_batch call, standardizing each straight from the ring
-  // into the workspace's staging tensor — the identical zero-copy path the
+  // into the workspace's plan arena — the identical zero-copy path the
   // offline SlidingWindowClassifier::score_into uses. Each CNN row is
   // computed independently of its batch neighbors, so the scores match the
   // offline classifier however the chunk boundaries group the windows.

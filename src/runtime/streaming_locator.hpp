@@ -194,8 +194,8 @@ class StreamingLocator {
   bool finished_ = false;
   std::size_t corrupt_samples_ = 0;  ///< non-finite samples seen at feed()
 
-  // Reused scratch. (Window staging lives in ws_.staging(): windows are
-  // standardized from the ring directly into the batch tensor.)
+  // Reused scratch. (Windows are standardized from the ring directly into
+  // the input region of ws_'s eval-plan arena.)
   std::vector<float> scores_buf_;
   std::vector<float> sanitize_buf_;  ///< feed() NaN-scrub / poison scratch
 

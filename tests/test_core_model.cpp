@@ -10,6 +10,7 @@
 #include "core/dataset.hpp"
 #include "core/model.hpp"
 #include "core/sliding_window.hpp"
+#include "nn/kernels/gemm.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "nn/loss.hpp"
 
@@ -136,8 +137,9 @@ TEST(SlidingWindow, ScoreIntoMatchesClassify) {
 }
 
 TEST(SlidingWindow, ZeroCopyPathMatchesExplicitStaging) {
-  // The in-place standardize-into-batch path must produce exactly what
-  // the old copy-out/standardize/copy-in staging produced.
+  // The in-place standardize-into-arena path must produce exactly what
+  // copy-out/standardize/copy-in staging through the unfused layer graph
+  // produces.
   auto net = build_paper_cnn(CnnConfig::scaled());
   net->set_training(false);
   const std::size_t window = 192, stride = 48;
@@ -155,11 +157,12 @@ TEST(SlidingWindow, ZeroCopyPathMatchesExplicitStaging) {
     DatasetBuilder::standardize_window(buf);
     nn::Tensor one({1, 1, window});
     std::copy(buf.begin(), buf.end(), one.data());
-    c.score_batch(one, manual.data() + i, ws);
+    const nn::Tensor logits = net->forward(one, ws);
+    manual[i] = logits.at(0, 1) - logits.at(0, 0);
   }
   ASSERT_EQ(fast.scores.size(), manual.size());
-  for (std::size_t i = 0; i < n_windows; ++i)
-    EXPECT_FLOAT_EQ(fast.scores[i], manual[i]) << "window " << i;
+  EXPECT_TRUE(std::memcmp(fast.scores.data(), manual.data(),
+                          n_windows * sizeof(float)) == 0);
 }
 
 /// Scores windows [first, first + count) of `trace` with one
@@ -266,6 +269,54 @@ TEST(SlidingWindow, TiledBatchBitIdenticalInsideParallelRegion) {
     std::vector<float> all;
     for (const auto& s : scores) all.insert(all.end(), s.begin(), s.end());
     EXPECT_TRUE(bit_equal(all, reference)) << "budget " << budget;
+  }
+}
+
+TEST(SlidingWindow, PlanScoresMemcmpEqualToGraphForward) {
+  // The classifier's eval plan against the unfused layer graph on the
+  // same standardized windows: both configs, non-trivial batch-norm
+  // statistics, one window and two tiles (the tile-parallel path at
+  // budget 4), every tier. test_nn_kernels covers more counts.
+  const std::size_t window = 96, stride = 24;
+  const auto trace = random_trace(window + stride * 40, 31);
+  for (const CnnConfig& config : {CnnConfig::paper(), CnnConfig::scaled()}) {
+    auto net = build_paper_cnn(config);
+    Rng rng(config.kernel_size);
+    for (nn::Param* p : net->params())
+      for (float& v : p->value.flat())
+        v += static_cast<float>(rng.uniform(-0.05, 0.05));
+    for (std::vector<float>* buffer : net->buffers())
+      for (float& v : *buffer) v = static_cast<float>(rng.uniform(0.05, 1.5));
+    net->set_training(false);
+    const SlidingWindowClassifier c(*net, window, stride);
+    for (const std::size_t count : {1u, 33u}) {
+      nn::Tensor x({count, 1, window});
+      for (std::size_t i = 0; i < count; ++i)
+        nn::kernels::standardize(
+            std::span<const float>(trace).subspan(i * stride, window),
+            x.data() + i * window);
+      for (const auto tier : {nn::kernels::detail::Isa::kAvx512,
+                              nn::kernels::detail::Isa::kAvx2,
+                              nn::kernels::detail::Isa::kPortable}) {
+        if (tier > nn::kernels::detail::active_isa()) continue;
+        nn::kernels::detail::IsaCapGuard cap(tier);
+        std::vector<float> reference(count);
+        {
+          nn::kernels::IntraOpGuard one_thread(1);
+          nn::Workspace ws;
+          const nn::Tensor logits = net->forward(x, ws);
+          for (std::size_t i = 0; i < count; ++i)
+            reference[i] = logits.at(i, 1) - logits.at(i, 0);
+        }
+        for (const std::size_t budget : {1u, 4u}) {
+          nn::kernels::IntraOpGuard intra(budget);
+          nn::Workspace ws;
+          EXPECT_TRUE(bit_equal(score_range(c, trace, 0, count, ws), reference))
+              << "kernel " << config.kernel_size << " count " << count
+              << " budget " << budget << " " << nn::kernels::isa_name();
+        }
+      }
+    }
   }
 }
 

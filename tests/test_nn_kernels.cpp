@@ -19,6 +19,7 @@
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv1d.hpp"
+#include "nn/eval_plan.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels/gemm.hpp"
@@ -593,6 +594,74 @@ TEST(ConvTiers, StridedConvEpilogueMatchesSeparatePass) {
   }
 }
 
+TEST(ConvTiers, ResidualEpilogueAddsAfterRelu) {
+  // out = relu(bn(conv)) + residual on every tier, thread split and conv
+  // path (direct stride-1 tile, strided GEMM pass). Ragged channel counts
+  // leave padded tile rows, which must not read the residual; the
+  // residual carries +-0, +-Inf and NaN, so dropping it or adding it
+  // before the ReLU changes the bits.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  kernels::ParallelGrainGuard grain(1);
+  struct Shape {
+    std::size_t cout, cin, kernel, stride, pad, n;
+  };
+  const Shape shapes[] = {{13, 3, 16, 1, 7, 45},
+                          {21, 1, 64, 1, 31, 70},
+                          {16, 16, 1, 1, 0, 37},
+                          {11, 3, 5, 2, 2, 41}};
+  std::uint64_t seed = 5000;
+  for (const Shape& s : shapes) {
+    const std::size_t out_len = kernels::conv_output_length(
+        s.n, s.kernel, s.stride, s.pad, s.kernel - 1 - s.pad);
+    const auto w = random_vec(s.cout * s.cin * s.kernel, seed++);
+    const auto bias = random_vec(s.cout, seed++);
+    const BnParams bn(s.cout, seed);
+    seed += 4;
+    for (std::size_t batch : {1u, 3u}) {
+      const auto x = random_vec(batch * s.cin * s.n, seed++);
+      auto residual = random_vec(batch * s.cout * out_len, seed++);
+      const float specials[] = {0.0f, -0.0f, kInf, -kInf, kNan};
+      for (std::size_t i = 0; i < residual.size(); i += 7)
+        residual[i] = specials[(i / 7) % 5];
+      kernels::BnRelu epi = bn.view();
+      epi.residual = residual.data();
+      for (Isa tier : host_tiers()) {
+        IsaCapGuard cap(tier);
+        // Reference: the plain conv, then BatchNorm, ReLU and the add as
+        // separate passes, in that order.
+        kernels::GemmScratch scratch;
+        std::vector<float> ref(batch * s.cout * out_len);
+        {
+          kernels::IntraOpGuard one(1);
+          kernels::sgemm_conv(s.cout, out_len, batch, w.data(), bias.data(),
+                              x.data(), s.cin, s.n, s.kernel, s.stride, s.pad,
+                              ref.data(), scratch);
+        }
+        for (std::size_t b = 0; b < batch; ++b)
+          for (std::size_t c = 0; c < s.cout; ++c) {
+            float* row = ref.data() + (b * s.cout + c) * out_len;
+            for (std::size_t i = 0; i < out_len; ++i) {
+              const float h = (row[i] - bn.mean[c]) * bn.inv_std[c];
+              const float y = bn.gamma[c] * h + bn.beta[c];
+              row[i] = y > 0.0f ? y : 0.0f;
+            }
+          }
+        kernels::add_inplace(ref.size(), residual.data(), ref.data());
+        for (std::size_t threads : {1u, 4u}) {
+          kernels::IntraOpGuard intra(threads);
+          std::vector<float> out(ref.size(),
+                                 std::numeric_limits<float>::quiet_NaN());
+          kernels::sgemm_conv(s.cout, out_len, batch, w.data(), bias.data(),
+                              x.data(), s.cin, s.n, s.kernel, s.stride, s.pad,
+                              out.data(), scratch, &epi);
+          expect_bit_equal(out, ref, "residual epilogue");
+        }
+      }
+    }
+  }
+}
+
 /// Every Conv1d -> BatchNorm1d -> ReLU block under `layer`.
 void collect_conv_blocks(Layer& layer, std::vector<Sequential*>& blocks) {
   if (auto* res = dynamic_cast<Residual*>(&layer)) {
@@ -627,17 +696,13 @@ void expect_tensor_memcmp_equal(const Tensor& a, const Tensor& b,
   expect_bit_equal(a.flat(), b.flat(), what.c_str());
 }
 
-class FusedConvBlock : public ::testing::TestWithParam<core::CnnConfig> {};
-
-TEST_P(FusedConvBlock, EvalForwardMemcmpEqualToLayerByLayer) {
-  auto net = core::build_paper_cnn(GetParam());
+/// Non-trivial running statistics, affine parameters and conv biases in
+/// every conv block of `net`, so every term of the epilogue matters.
+void randomize_conv_blocks(Layer& net, std::uint64_t seed) {
   std::vector<Sequential*> blocks;
-  collect_conv_blocks(*net, blocks);
-  ASSERT_EQ(blocks.size(), 5u);  // entry + 2 per residual block
-  Rng rng(77);
+  collect_conv_blocks(net, blocks);
+  Rng rng(seed);
   for (Sequential* block : blocks) {
-    // Non-trivial running statistics and affine parameters, so every
-    // term of the epilogue matters.
     auto& bn = dynamic_cast<BatchNorm1d&>(block->layer(1));
     for (float& v : bn.mutable_running_mean())
       v = static_cast<float>(rng.uniform(-0.5, 0.5));
@@ -651,22 +716,84 @@ TEST_P(FusedConvBlock, EvalForwardMemcmpEqualToLayerByLayer) {
     for (float& v : conv.bias().value.flat())
       v = static_cast<float>(rng.uniform(-0.2, 0.2));
   }
+}
+
+/// Runs `plan` on x ([count, ...]) in `ws` and copies the output out.
+Tensor run_plan(const EvalPlan& plan, const Tensor& x, Workspace& ws) {
+  const std::size_t count = x.dim(0);
+  std::copy(x.data(), x.data() + x.numel(), plan.input(count, ws));
+  const float* y = plan.run(count, ws);
+  Tensor out({count, plan.output_size()});
+  std::copy(y, y + out.numel(), out.data());
+  return out;
+}
+
+class FusedConvBlock : public ::testing::TestWithParam<core::CnnConfig> {};
+
+TEST_P(FusedConvBlock, EvalForwardMemcmpEqualToLayerByLayer) {
+  auto net = core::build_paper_cnn(GetParam());
+  std::vector<Sequential*> blocks;
+  collect_conv_blocks(*net, blocks);
+  ASSERT_EQ(blocks.size(), 5u);  // entry + 2 per residual block
+  randomize_conv_blocks(*net, 77);
   net->set_training(false);
   std::uint64_t seed = 300;
+  // Each conv block compiles to one fused conv step that reproduces the
+  // block's three layers run one by one.
   for (Sequential* block : blocks) {
     const auto& conv = dynamic_cast<const Conv1d&>(block->layer(0));
+    const EvalPlan plan(*block, conv.in_channels(), 75);
+    ASSERT_EQ(plan.size(), 1u);
     for (std::size_t batch : {1u, 3u}) {
       const auto x = random_tensor({batch, conv.in_channels(), 75}, seed++);
       for (Isa tier : host_tiers()) {
         IsaCapGuard cap(tier);
-        const Tensor ref = layer_by_layer(*block, x);
+        Tensor ref = layer_by_layer(*block, x);
+        ref.reshape({batch, ref.numel() / batch});
         for (std::size_t threads : {1u, 4u}) {
           kernels::IntraOpGuard intra(threads);
           kernels::ParallelGrainGuard grain(1);
           Workspace ws;
-          expect_tensor_memcmp_equal(block->forward(x, ws), ref,
+          expect_tensor_memcmp_equal(run_plan(plan, x, ws), ref,
                                      conv.name() + " fused");
         }
+      }
+    }
+  }
+}
+
+TEST_P(FusedConvBlock, WholeNetworkPlanMemcmpEqualToGraphForward) {
+  // The paper network's plan (residual adds fused into the epilogues,
+  // arena buffers shared by liveness) against the unfused graph forward,
+  // across tile-straddling window counts, tiers and intra-op budgets.
+  auto net = core::build_paper_cnn(GetParam());
+  randomize_conv_blocks(*net, 91);
+  net->set_training(false);
+  const std::size_t length = 80;
+  const EvalPlan plan(*net, 1, length);
+  // Six convs (entry, 2 x 2 residual, projection), GAP, Linear+ReLU and
+  // Linear: no standalone BatchNorm, ReLU or add step.
+  EXPECT_EQ(plan.size(), 9u);
+  EXPECT_EQ(plan.output_size(), 2u);
+  std::uint64_t seed = 900;
+  for (std::size_t count : {1u, 3u, 31u, 32u, 33u}) {
+    const auto x = random_tensor({count, 1, length}, seed++);
+    for (Isa tier : host_tiers()) {
+      IsaCapGuard cap(tier);
+      Tensor ref;
+      {
+        kernels::IntraOpGuard one(1);
+        Workspace ws;
+        ref = net->forward(x, ws);
+      }
+      Workspace ws;  // reused: the arena must not leak state across runs
+      for (std::size_t threads : {1u, 4u}) {
+        kernels::IntraOpGuard intra(threads);
+        kernels::ParallelGrainGuard grain(1);
+        expect_tensor_memcmp_equal(
+            run_plan(plan, x, ws), ref,
+            "count " + std::to_string(count) + " threads " +
+                std::to_string(threads) + " " + kernels::isa_name());
       }
     }
   }
@@ -717,17 +844,89 @@ TEST(FusedConvBlockSpecials, ReluSemanticsOnSignedZeroInfNan) {
   EXPECT_TRUE(has([](float v) { return v == -kInf; }));
   EXPECT_TRUE(has([](float v) { return std::isnan(v); }));
 
-  const Tensor ref = layer_by_layer(block, x);
+  Tensor ref = layer_by_layer(block, x);
   for (float v : ref.flat()) {
     EXPECT_FALSE(std::signbit(v)) << "ReLU must map -0 and negatives to +0";
     EXPECT_FALSE(std::isnan(v)) << "ReLU must map NaN to +0";
   }
+  ref.reshape({2, ref.numel() / 2});
+  const EvalPlan plan(block, 1, row.size());
+  ASSERT_EQ(plan.size(), 1u);
   for (Isa tier : host_tiers()) {
     IsaCapGuard cap(tier);
     Workspace fused_ws;
-    expect_tensor_memcmp_equal(block.forward(x, fused_ws), ref,
+    expect_tensor_memcmp_equal(run_plan(plan, x, fused_ws), ref,
                                "fused specials");
   }
+}
+
+TEST(EvalPlanSteps, StandaloneStepsMatchGraphForward) {
+  // A graph that leaves every unfused step kind in the plan: a conv with
+  // no BatchNorm after it, standalone ReLU and BatchNorm, a residual main
+  // branch ending in BatchNorm (a separate add step), and a strided conv
+  // block whose epilogue takes a projected shortcut.
+  Sequential net;
+  net.emplace<Conv1d>(1, 5, 3);
+  net.emplace<ReLU>();
+  net.emplace<BatchNorm1d>(5);
+  {
+    auto main = std::make_unique<Sequential>();
+    main->emplace<Conv1d>(5, 5, 3);
+    main->emplace<BatchNorm1d>(5);
+    net.emplace<Residual>(std::move(main));
+  }
+  {
+    auto main = std::make_unique<Sequential>();
+    main->emplace<Conv1d>(5, 7, 5, 2, 2);
+    main->emplace<BatchNorm1d>(7);
+    main->emplace<ReLU>();
+    net.emplace<Residual>(std::move(main),
+                          std::make_unique<Conv1d>(5, 7, 1, 2, 0));
+  }
+  net.emplace<GlobalAvgPool1d>();
+  net.emplace<Linear>(7, 4);
+  net.emplace<ReLU>();
+  net.emplace<Linear>(4, 3);
+  Rng init(3);
+  init_module(net, init);
+  Rng rng(4);
+  for (Param* p : net.params())
+    for (float& v : p->value.flat())
+      v += static_cast<float>(rng.uniform(-0.3, 0.3));
+  for (std::vector<float>* buffer : net.buffers())
+    for (float& v : *buffer) v = static_cast<float>(rng.uniform(0.05, 1.5));
+  net.set_training(false);
+
+  const std::size_t length = 37;
+  const EvalPlan plan(net, 1, length);
+  // conv, relu, bn | conv, bn, add | projection conv, fused conv | gap,
+  // linear+relu, linear.
+  EXPECT_EQ(plan.size(), 11u);
+  EXPECT_EQ(plan.output_size(), 3u);
+  std::uint64_t seed = 60;
+  for (std::size_t count : {1u, 5u}) {
+    const auto x = random_tensor({count, 1, length}, seed++);
+    for (Isa tier : host_tiers()) {
+      IsaCapGuard cap(tier);
+      Workspace ref_ws;
+      const Tensor ref = net.forward(x, ref_ws);
+      for (std::size_t threads : {1u, 4u}) {
+        kernels::IntraOpGuard intra(threads);
+        kernels::ParallelGrainGuard grain(1);
+        Workspace ws;
+        expect_tensor_memcmp_equal(run_plan(plan, x, ws), ref,
+                                   "standalone steps");
+      }
+    }
+  }
+}
+
+TEST(EvalPlanSteps, RejectsTrainingModeAndShapeMismatch) {
+  auto net = core::build_paper_cnn(core::CnnConfig::scaled());
+  EXPECT_THROW(EvalPlan(*net, 1, 64), InvalidArgument);  // training mode
+  net->set_training(false);
+  EXPECT_THROW(EvalPlan(*net, 2, 64), InvalidArgument);  // 1 input channel
+  EXPECT_NO_THROW(EvalPlan(*net, 1, 64));
 }
 
 // ---------------------------------------------------------------------------
@@ -825,16 +1024,6 @@ TEST(TensorReshape, StridesFollowNewShape) {
 TEST(TensorReshape, NumelMismatchThrows) {
   Tensor t({3, 5});
   EXPECT_THROW(t.reshape({4, 4}), Error);
-}
-
-TEST(TensorResize, ShrinkKeepsAllocation) {
-  Tensor t({8, 1, 64});
-  const float* before = t.data();
-  t.resize({3, 1, 64});
-  EXPECT_EQ(t.data(), before);
-  EXPECT_EQ(t.dim(0), 3u);
-  t.resize({8, 1, 64});  // regrow within capacity
-  EXPECT_EQ(t.data(), before);
 }
 
 }  // namespace

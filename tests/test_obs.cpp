@@ -205,6 +205,22 @@ TEST(ObsHistogram, QuantilesMatchSortedOracleWithinBucketResolution) {
               1e-6 * s.mean());
 }
 
+TEST(ObsHistogram, QuantileInterpolatesBetweenRanks) {
+  // Two samples: p99 sits at rank 0.99 of [0, 1], so it lies near the
+  // larger one (percentile_sorted gives 99010), not at the smaller.
+  obs::Histogram h;
+  h.record(1000);
+  h.record(100000);
+  const auto s = h.snapshot();
+  const std::vector<double> oracle = {1000.0, 100000.0};
+  const double rel = 1.0 / static_cast<double>(obs::Histogram::kSubBuckets);
+  for (const double q : {0.5, 0.9, 0.99}) {
+    const double exact = obs::percentile_sorted(oracle, q);
+    EXPECT_NEAR(s.quantile(q), exact, rel * exact) << "q = " << q;
+  }
+  EXPECT_GT(s.quantile(0.99), 90000.0);
+}
+
 TEST(ObsHistogram, ConcurrentRecordingLosesNothing) {
   obs::Histogram h;
   constexpr int kThreads = 8;
