@@ -26,8 +26,7 @@
 // start at finalization) from the stream telemetry histogram, and each
 // row's full registry snapshot.
 //
-// Knobs: SCALOCATE_SCALE scales the training sets (each session drives a
-// whole multi-CO eval trace whatever the scale);
+// Knobs: SCALOCATE_SCALE scales per-session sample counts;
 // SCALOCATE_FLEET_SESSIONS="64,256,1024" overrides the session-count
 // sweep (default 1024,4096,10240 — sized for a workstation; CI smoke uses
 // the override).
@@ -64,7 +63,7 @@ struct FleetModel {
   const core::CoLocator* locator = nullptr;
   crypto::CipherId cipher;
   std::size_t stride = 0;
-  /// Per-session drive: one of a few distinct eval traces.
+  /// Per-session drive: a prefix of one of a few distinct eval traces.
   std::vector<std::span<const float>> drives;
   /// Offline locate() of each drive — the parity reference.
   std::vector<std::vector<std::size_t>> reference;
@@ -166,14 +165,11 @@ int main() {
               train_seconds, aes.report.test_confusion.accuracy(),
               camellia.report.test_confusion.accuracy());
 
-  // Per-session drive: a whole eval trace, a noise lead-in and then 3, 4
-  // or 5 back-to-back COs, so every parity check compares sessions that
-  // hold several real detections (the per-row detection floors in
-  // fleet.json hold that). Every session replays one of these few
-  // distinct traces, so offline references are computed once per
-  // (model, drive).
+  // Per-session drive length: enough samples for a handful of windows and
+  // typically >= 1 CO. Every session replays one of a few distinct traces,
+  // so offline references are computed once per (model, drive).
+  const std::size_t drive_samples = bench::scaled(8192);
   const std::size_t kDistinctTraces = 3;
-  std::size_t drive_samples = 0;  // longest drive
   std::vector<FleetModel> models(2);
   bench::TrainedSetup* setups[2] = {&aes, &camellia};
   std::vector<std::vector<float>> storage;  // keeps trace samples alive
@@ -186,10 +182,11 @@ int main() {
       auto trace = trace::acquire_eval_trace(setups[mi]->scenario, 3 + t,
                                              setups[mi]->key, false);
       storage.push_back(std::move(trace.samples));
-      const std::span<const float> drive(storage.back());
-      drive_samples = std::max(drive_samples, drive.size());
-      m.drives.push_back(drive);
-      m.reference.push_back(m.locator->locate(drive));
+      auto& samples = storage.back();
+      const std::size_t len = std::min(drive_samples, samples.size());
+      m.drives.push_back(std::span<const float>(samples.data(), len));
+      m.reference.push_back(
+          m.locator->locate(std::span<const float>(samples.data(), len)));
     }
   }
 

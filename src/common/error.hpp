@@ -99,6 +99,10 @@ namespace detail {
 inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }
+/// Same, for a literal message: nothing is allocated unless `cond` fails.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw InvalidArgument(msg);
+}
 }  // namespace detail
 
 }  // namespace scalocate

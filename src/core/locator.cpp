@@ -20,6 +20,7 @@ TrainReport CoLocator::train(const trace::CipherAcquisition& ciphers,
 
   Trainer trainer(config_.params, config_.seed ^ 0x7472ULL);
   TrainReport report = trainer.fit(*model_, split);
+  compile_classifier();
   trained_ = true;
 
   // Mean CO length from the profiling captures (drives the automatic
@@ -140,6 +141,11 @@ std::ptrdiff_t median_offset(const std::vector<std::size_t>& detections,
 
 }  // namespace
 
+void CoLocator::compile_classifier() {
+  classifier_ = std::make_unique<SlidingWindowClassifier>(
+      *model_, config_.params.n_inf, config_.params.stride);
+}
+
 void CoLocator::calibrate(const trace::CipherAcquisition& ciphers) {
   coarse_offset_ = 0;
   fine_offset_ = 0;
@@ -159,9 +165,7 @@ void CoLocator::calibrate(const trace::CipherAcquisition& ciphers) {
 
   // Stage 1: raw rising edges (no correction, no duplicate suppression).
   nn::Workspace ws;
-  SlidingWindowClassifier classifier(*model_, config_.params.n_inf,
-                                     config_.params.stride);
-  const SlidingWindowResult swc = classifier.classify(cal_trace, ws);
+  const SlidingWindowResult swc = classifier_->classify(cal_trace, ws);
   const SegmenterConfig seg_cfg = segmenter_config(
       std::numeric_limits<float>::quiet_NaN(), swc.scores);
   calibrated_threshold_ = seg_cfg.threshold;
@@ -194,9 +198,7 @@ void CoLocator::calibrate(const trace::CipherAcquisition& ciphers) {
 std::vector<std::size_t> CoLocator::locate(std::span<const float> trace_samples,
                                            nn::Workspace& ws) const {
   detail::require(trained_, "CoLocator::locate: train() or load_model() first");
-  SlidingWindowClassifier classifier(*model_, config_.params.n_inf,
-                                     config_.params.stride);
-  const SlidingWindowResult swc = classifier.classify(trace_samples, ws);
+  const SlidingWindowResult swc = classifier_->classify(trace_samples, ws);
   if (swc.scores.empty()) return {};
   // Every score, then end of trace with the whole trace resident.
   Segmenter seg =
@@ -239,6 +241,7 @@ void CoLocator::restore_calibration(CalibrationState state) {
   calibrated_threshold_ = state.calibrated_threshold;
   fine_template_ = std::move(state.fine_template);
   model_->set_training(false);
+  compile_classifier();
   trained_ = true;
 }
 
@@ -249,6 +252,7 @@ void CoLocator::save_model(const std::string& path) const {
 void CoLocator::load_model(const std::string& path) {
   nn::load_module(*model_, path);
   model_->set_training(false);
+  compile_classifier();
   trained_ = true;
 }
 

@@ -113,6 +113,9 @@ class CoLocator {
   std::ptrdiff_t coarse_offset() const { return coarse_offset_; }
   std::ptrdiff_t fine_offset() const { return fine_offset_; }
   double mean_co_length() const { return mean_co_length_; }
+  /// The CNN. locate() runs an eval plan compiled from it by train(),
+  /// load_model() and restore_calibration(); parameters changed through
+  /// this reference reach locate() at the next of those calls.
   nn::Sequential& model() { return *model_; }
   const nn::Sequential& model() const { return *model_; }
   const LocatorConfig& config() const { return config_; }
@@ -159,10 +162,14 @@ class CoLocator {
 
  private:
   void calibrate(const trace::CipherAcquisition& ciphers);
+  /// Compiles classifier_ from the eval-mode model.
+  void compile_classifier();
   void build_fine_template(const trace::CipherAcquisition& ciphers);
 
   LocatorConfig config_;
   std::unique_ptr<nn::Sequential> model_;
+  /// The model's compiled eval plan; set whenever trained_ is.
+  std::unique_ptr<SlidingWindowClassifier> classifier_;
   bool trained_ = false;
   /// Stage-1 offset: median (raw rising edge - true start), measured on the
   /// calibration trace before refinement. The rising edge leads the true

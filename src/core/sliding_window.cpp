@@ -66,10 +66,8 @@ void SlidingWindowClassifier::score_into(std::span<const float> trace_samples,
                                          std::span<float> scores_out,
                                          nn::Workspace& ws) const {
   const std::size_t n_windows = num_windows(trace_samples.size());
-  // Not detail::require: its std::string message would allocate per call.
-  if (scores_out.size() < n_windows)
-    throw InvalidArgument(
-        "SlidingWindowClassifier::score_into: scores_out too small");
+  detail::require(scores_out.size() >= n_windows,
+                  "SlidingWindowClassifier::score_into: scores_out too small");
   score_window_batch(
       n_windows,
       [&](std::size_t i) { return trace_samples.subspan(i * stride_, window_); },

@@ -47,7 +47,6 @@ std::size_t EvalPlan::compile(const Layer& layer, std::size_t x) {
   if (const auto* linear = dynamic_cast<const Linear*>(&layer))
     return add_linear(*linear, false, x);
 
-  const Value in = values_[x];
   if (const auto* res = dynamic_cast<const Residual*>(&layer)) {
     const std::size_t shortcut =
         res->has_projection() ? compile(*res->projection(), x) : x;
@@ -56,44 +55,19 @@ std::size_t EvalPlan::compile(const Layer& layer, std::size_t x) {
     detail::require(values_[main].channels == values_[shortcut].channels &&
                         values_[main].length == values_[shortcut].length,
                     "EvalPlan: residual branch shapes differ");
-    // A main branch that ends in a conv block takes the shortcut add in
-    // its epilogue, after the ReLU, exactly where Residual::forward adds.
-    if (steps_.size() > first) {
-      Step& last = steps_.back();
-      if (last.kind == Kind::kConv && last.out == main && !last.mean.empty() &&
-          last.res == kNone) {
-        last.res = shortcut;
-        return main;
-      }
-    }
-    Step add(Kind::kAdd);
-    add.in = main;
-    add.res = shortcut;
-    add.out = new_value(values_[main].channels, values_[main].length);
-    steps_.push_back(std::move(add));
-    return steps_.back().out;
-  }
-  if (const auto* bn = dynamic_cast<const BatchNorm1d*>(&layer)) {
-    detail::require(in.length > 0 && in.channels == bn->running_mean().size(),
-                    "EvalPlan: " + bn->name() + " input shape mismatch");
-    Step step(Kind::kBatchNorm);
-    step.in = x;
-    step.mean.assign(bn->running_mean().begin(), bn->running_mean().end());
-    step.inv_std = bn->eval_inv_std();
-    step.gamma = bn->gamma().value.data();
-    step.beta = bn->beta().value.data();
-    step.out = new_value(in.channels, in.length);
-    steps_.push_back(std::move(step));
-    return steps_.back().out;
-  }
-  if (dynamic_cast<const ReLU*>(&layer) != nullptr) {
-    Step step(Kind::kRelu);
-    step.in = x;
-    step.out = new_value(in.channels, in.length);
-    steps_.push_back(std::move(step));
-    return steps_.back().out;
+    // The main branch must end in a conv block: its epilogue takes the
+    // shortcut add after the ReLU, exactly where Residual::forward adds.
+    Step* last = steps_.size() > first ? &steps_.back() : nullptr;
+    if (last == nullptr || last->kind != Kind::kConv || last->out != main ||
+        last->mean.empty() || last->res != kNone)
+      throw InvalidArgument(
+          "EvalPlan: a residual main branch must end in Conv1d -> "
+          "BatchNorm1d -> ReLU");
+    last->res = shortcut;
+    return main;
   }
   if (dynamic_cast<const GlobalAvgPool1d*>(&layer) != nullptr) {
+    const Value in = values_[x];
     detail::require(in.length > 0, "EvalPlan: GlobalAvgPool1d needs [B, C, N]");
     Step step(Kind::kGap);
     step.in = x;
@@ -101,7 +75,10 @@ std::size_t EvalPlan::compile(const Layer& layer, std::size_t x) {
     steps_.push_back(std::move(step));
     return steps_.back().out;
   }
-  throw InvalidArgument("EvalPlan: unsupported layer " + layer.name());
+  // BatchNorm1d and ReLU only run fused into the step before them.
+  throw InvalidArgument("EvalPlan: unsupported layer " + layer.name() +
+                        " (BatchNorm1d and ReLU run only as Conv1d -> "
+                        "BatchNorm1d -> ReLU or Linear -> ReLU)");
 }
 
 std::size_t EvalPlan::compile_sequential(const Sequential& seq,
@@ -252,26 +229,6 @@ const float* EvalPlan::run(std::size_t count, Workspace& ws) const {
                             x, in.channels, in.length, s.kernel, s.stride,
                             s.pad_left, y, gemm,
                             s.mean.empty() ? nullptr : &epi);
-        break;
-      }
-      case Kind::kBatchNorm:
-        for (std::size_t b = 0; b < count; ++b)
-          for (std::size_t c = 0; c < in.channels; ++c) {
-            const std::size_t off = (b * in.channels + c) * in.length;
-            // The eval forward's kernel; its xhat output is not needed
-            // here, so it aliases y and is overwritten by it.
-            kernels::normalize_scale_shift(in.length, x + off, s.mean[c],
-                                           s.inv_std[c], s.gamma[c],
-                                           s.beta[c], y + off, y + off);
-          }
-        break;
-      case Kind::kRelu:
-        kernels::relu(count * floats(s.in), x, y);
-        break;
-      case Kind::kAdd: {
-        const std::size_t n = count * floats(s.in);
-        std::copy(x, x + n, y);
-        kernels::add_inplace(n, at(s.res), y);
         break;
       }
       case Kind::kGap: {

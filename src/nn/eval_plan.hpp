@@ -12,7 +12,10 @@
 //           of a residual main branch also takes the shortcut add there
 //   gap     GlobalAvgPool1d
 //   linear  Linear, with a directly following ReLU applied in place
-//   bn, relu, add   standalone steps for layers that do not fuse
+//
+// BatchNorm1d and ReLU only compile fused into the step before them, and a
+// residual main branch must end in a conv block; other graphs are rejected
+// (run them through Sequential::forward, the unfused reference).
 //
 // Every value a step reads or writes sits at a fixed per-window offset of
 // the arena (nn::Workspace::arena); values whose lifetimes do not overlap
@@ -47,7 +50,8 @@ class EvalPlan {
  public:
   /// Compiles `model` for inputs of shape [count, in_channels, length].
   /// Throws InvalidArgument when a layer is in training mode, is of a
-  /// type the plan does not know, or gets an input of the wrong shape.
+  /// type or in a layout the plan does not fuse, or gets an input of the
+  /// wrong shape.
   EvalPlan(const Sequential& model, std::size_t in_channels,
            std::size_t length);
 
@@ -75,7 +79,7 @@ class EvalPlan {
     std::size_t offset = 0;  ///< arena floats per window before it
   };
 
-  enum class Kind { kConv, kBatchNorm, kRelu, kAdd, kGap, kLinear };
+  enum class Kind { kConv, kGap, kLinear };
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
@@ -84,12 +88,12 @@ class EvalPlan {
 
     Kind kind;
     std::size_t in = kNone, out = kNone;  ///< value ids
-    std::size_t res = kNone;  ///< shortcut value (conv epilogue, add)
+    std::size_t res = kNone;  ///< shortcut value added in the epilogue
     // conv: weights and geometry; linear: weight/bias only.
     const float* weight = nullptr;
     const float* bias = nullptr;
     std::size_t kernel = 0, stride = 0, pad_left = 0;
-    // BatchNorm (conv epilogue or standalone), folded to float.
+    // BatchNorm of the conv epilogue, folded to float.
     std::vector<float> mean, inv_std;
     const float* gamma = nullptr;
     const float* beta = nullptr;

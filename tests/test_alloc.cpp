@@ -6,7 +6,9 @@
 // per window count, SlidingWindowClassifier::score_window_batch and
 // score_into at intra-op budget 1 (the whole-trace job shape) must not
 // allocate at all: the eval plan's arena, the kernels' pack buffers and
-// the tile dispatch are all reused.
+// the tile dispatch are all reused. CoLocator::locate compiles its plan
+// once per model, so a whole-trace job allocates only its result and
+// segmenter state, however many windows it scores.
 //
 // ASan and TSan supply their own allocator, so a sanitizer build keeps
 // the default operators and skips the checks (GTEST_SKIP, reported by
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/locator.hpp"
 #include "core/model.hpp"
 #include "core/sliding_window.hpp"
 #include "nn/kernels/parallel.hpp"
@@ -108,6 +111,44 @@ TEST_P(AllocFreeScoringConfigs, SteadyStateScoringAllocatesNothing) {
     c.score_into(part, scores, ws);
     EXPECT_EQ(g_allocations.load() - before, 0u)
         << "score_into, " << count << " windows";
+  }
+}
+
+TEST_P(AllocFreeScoringConfigs, LocateDoesNotRecompileThePlan) {
+#if defined(SCALOCATE_TEST_SANITIZED)
+  GTEST_SKIP() << kSanitized;
+#endif
+  LocatorConfig config;
+  config.cnn = GetParam();
+  // A threshold no score reaches: no detections, so the segmenter's work
+  // (and its allocations) does not depend on the untrained weights.
+  config.params.threshold = 1e30f;
+  CoLocator locator(config);
+  CoLocator::CalibrationState state;
+  state.mean_co_length = 1000.0;
+  locator.restore_calibration(state);
+  const std::size_t window = config.params.n_inf;
+  const std::size_t stride = config.params.stride;
+  const auto trace = random_trace(window + stride * 255, 43);
+  const std::span<const float> samples(trace);
+
+  nn::kernels::IntraOpGuard one_thread(1);
+  // What compiling the plan costs: a locate() that recompiled it per call
+  // would allocate at least this much.
+  std::size_t before = g_allocations.load();
+  { const SlidingWindowClassifier c(locator.model(), window, stride); }
+  const std::size_t compile = g_allocations.load() - before;
+  constexpr std::size_t kLocateBudget = 16;  // results + segmenter state
+  ASSERT_GT(compile, kLocateBudget);
+
+  nn::Workspace ws;
+  for (const std::size_t count : {1u, 33u, 256u}) {
+    const auto part = samples.first(window + stride * (count - 1));
+    locator.locate(part, ws);  // warm-up
+    before = g_allocations.load();
+    EXPECT_TRUE(locator.locate(part, ws).empty());
+    EXPECT_LE(g_allocations.load() - before, kLocateBudget)
+        << "locate, " << count << " windows";
   }
 }
 

@@ -860,64 +860,41 @@ TEST(FusedConvBlockSpecials, ReluSemanticsOnSignedZeroInfNan) {
   }
 }
 
-TEST(EvalPlanSteps, StandaloneStepsMatchGraphForward) {
-  // A graph that leaves every unfused step kind in the plan: a conv with
-  // no BatchNorm after it, standalone ReLU and BatchNorm, a residual main
-  // branch ending in BatchNorm (a separate add step), and a strided conv
-  // block whose epilogue takes a projected shortcut.
-  Sequential net;
-  net.emplace<Conv1d>(1, 5, 3);
-  net.emplace<ReLU>();
-  net.emplace<BatchNorm1d>(5);
+TEST(EvalPlanSteps, RejectsLayoutsThatDoNotFuse) {
+  // BatchNorm1d and ReLU compile only fused into the step before them, and
+  // a residual main branch must end in a conv block.
+  const auto rejects = [](Sequential& net) {
+    net.set_training(false);
+    EXPECT_THROW(EvalPlan(net, 1, 32), InvalidArgument);
+  };
   {
+    Sequential net;  // standalone ReLU
+    net.emplace<Conv1d>(1, 4, 3);
+    net.emplace<ReLU>();
+    rejects(net);
+  }
+  {
+    Sequential net;  // BatchNorm1d without a ReLU after it
+    net.emplace<Conv1d>(1, 4, 3);
+    net.emplace<BatchNorm1d>(4);
+    rejects(net);
+  }
+  {
+    Sequential net;  // residual main branch ending in BatchNorm1d
+    net.emplace<Conv1d>(1, 4, 3);
     auto main = std::make_unique<Sequential>();
-    main->emplace<Conv1d>(5, 5, 3);
-    main->emplace<BatchNorm1d>(5);
+    main->emplace<Conv1d>(4, 4, 3);
+    main->emplace<BatchNorm1d>(4);
     net.emplace<Residual>(std::move(main));
+    rejects(net);
   }
   {
+    Sequential net;  // residual main branch ending in a bare conv
+    net.emplace<Conv1d>(1, 4, 3);
     auto main = std::make_unique<Sequential>();
-    main->emplace<Conv1d>(5, 7, 5, 2, 2);
-    main->emplace<BatchNorm1d>(7);
-    main->emplace<ReLU>();
-    net.emplace<Residual>(std::move(main),
-                          std::make_unique<Conv1d>(5, 7, 1, 2, 0));
-  }
-  net.emplace<GlobalAvgPool1d>();
-  net.emplace<Linear>(7, 4);
-  net.emplace<ReLU>();
-  net.emplace<Linear>(4, 3);
-  Rng init(3);
-  init_module(net, init);
-  Rng rng(4);
-  for (Param* p : net.params())
-    for (float& v : p->value.flat())
-      v += static_cast<float>(rng.uniform(-0.3, 0.3));
-  for (std::vector<float>* buffer : net.buffers())
-    for (float& v : *buffer) v = static_cast<float>(rng.uniform(0.05, 1.5));
-  net.set_training(false);
-
-  const std::size_t length = 37;
-  const EvalPlan plan(net, 1, length);
-  // conv, relu, bn | conv, bn, add | projection conv, fused conv | gap,
-  // linear+relu, linear.
-  EXPECT_EQ(plan.size(), 11u);
-  EXPECT_EQ(plan.output_size(), 3u);
-  std::uint64_t seed = 60;
-  for (std::size_t count : {1u, 5u}) {
-    const auto x = random_tensor({count, 1, length}, seed++);
-    for (Isa tier : host_tiers()) {
-      IsaCapGuard cap(tier);
-      Workspace ref_ws;
-      const Tensor ref = net.forward(x, ref_ws);
-      for (std::size_t threads : {1u, 4u}) {
-        kernels::IntraOpGuard intra(threads);
-        kernels::ParallelGrainGuard grain(1);
-        Workspace ws;
-        expect_tensor_memcmp_equal(run_plan(plan, x, ws), ref,
-                                   "standalone steps");
-      }
-    }
+    main->emplace<Conv1d>(4, 4, 3);
+    net.emplace<Residual>(std::move(main));
+    rejects(net);
   }
 }
 
