@@ -163,15 +163,24 @@ void EvalPlan::assign_offsets() {
   last[output_] = steps_.size();
 
   // Each slot holds one value at a time. A value defined by step i may
-  // take a slot whose occupant was last read before step i — never one
-  // step i itself reads — preferring the slot that grows least, then the
-  // smallest.
+  // take a slot whose occupant was last read before step i, or the slot of
+  // a shortcut that step i reads for the last time when step i is a
+  // stride-1 conv that does not also read it as input: the stride-1
+  // kernel reads each residual vector just before it stores the output
+  // vector in its place (kernels::BnRelu). Among those it prefers the slot
+  // that grows least, then the smallest.
   struct Slot {
     std::size_t floats = 0;
     std::size_t value = kNone;
   };
   std::vector<Slot> slots;
   std::vector<std::size_t> slot_of(values_.size(), kNone);
+  const auto free_at = [&](const Slot& slot, std::size_t step) {
+    if (slot.value == kNone || last[slot.value] < step) return true;
+    const Step& s = steps_[step];
+    return s.kind == Kind::kConv && s.stride == 1 && slot.value == s.res &&
+           s.res != s.in && last[s.res] == step;
+  };
   const auto place = [&](std::size_t value, std::size_t step) {
     const std::size_t need = floats(value);
     const auto cost = [need](const Slot& slot) {
@@ -180,7 +189,7 @@ void EvalPlan::assign_offsets() {
     };
     std::size_t best = kNone;
     for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (slots[s].value != kNone && last[slots[s].value] >= step) continue;
+      if (!free_at(slots[s], step)) continue;
       if (best == kNone || cost(slots[s]) < cost(slots[best])) best = s;
     }
     if (best == kNone) {

@@ -19,7 +19,10 @@
 //
 // Every value a step reads or writes sits at a fixed per-window offset of
 // the arena (nn::Workspace::arena); values whose lifetimes do not overlap
-// share storage, and no step writes a buffer it reads. Batch-norm
+// share storage. No step writes a buffer it reads, except that a stride-1
+// conv may write its output over the shortcut it adds when nothing reads
+// that shortcut later (the paper CNN's arena then holds 5 F N floats per
+// window instead of 6 F N). Batch-norm
 // statistics are folded to float (mean, 1/std) at compile time exactly as
 // BatchNorm1d's eval forward rounds them, and weights are read in place:
 // rebuild the plan after the model's parameters change.
@@ -57,6 +60,9 @@ class EvalPlan {
 
   /// Floats per window of the output.
   std::size_t output_size() const { return floats(output_); }
+
+  /// Arena floats per window: the plan's activation footprint.
+  std::size_t arena_size() const { return arena_floats_; }
 
   /// Number of compiled steps (kernel calls per run).
   std::size_t size() const { return steps_.size(); }

@@ -93,7 +93,10 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// out_len]) is added after the ReLU: out = relu(y) + residual. That is
 /// the one rounded add Residual::forward's add_inplace makes, so the
 /// last conv block of a residual branch can absorb its shortcut and stay
-/// bit-identical to the layer graph.
+/// bit-identical to the layer graph. In a stride-1 conv `residual` may be
+/// `out` itself (not `x`): every tier's stride-1 kernel reads each
+/// residual vector just before it stores the output vector in its place.
+/// A strided conv stores its raw output first, so there it must not alias.
 struct BnRelu {
   const float* mean;
   const float* inv_std;

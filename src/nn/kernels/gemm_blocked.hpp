@@ -380,7 +380,8 @@ void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// order, whatever the tile: tiers whose compilers emit FMAs for the
 /// update produce bit-identical results. A non-null `bn_relu` is applied
 /// to the accumulators before the store, its residual (if any) to the
-/// stored rows only.
+/// stored rows only, each residual vector read just before the output
+/// vector at the same place is stored (so the residual may be `out`).
 template <std::size_t MRC, std::size_t NR, std::size_t VL>
 void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
                  const float* w, const float* bias, const float* x,

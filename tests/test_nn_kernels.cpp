@@ -656,6 +656,15 @@ TEST(ConvTiers, ResidualEpilogueAddsAfterRelu) {
                               x.data(), s.cin, s.n, s.kernel, s.stride, s.pad,
                               out.data(), scratch, &epi);
           expect_bit_equal(out, ref, "residual epilogue");
+          if (s.stride != 1) continue;
+          // A stride-1 conv may write its output over the residual.
+          std::vector<float> in_place = residual;
+          kernels::BnRelu over = bn.view();
+          over.residual = in_place.data();
+          kernels::sgemm_conv(s.cout, out_len, batch, w.data(), bias.data(),
+                              x.data(), s.cin, s.n, s.kernel, s.stride, s.pad,
+                              in_place.data(), scratch, &over);
+          expect_bit_equal(in_place, ref, "residual epilogue in place");
         }
       }
     }
@@ -775,6 +784,9 @@ TEST_P(FusedConvBlock, WholeNetworkPlanMemcmpEqualToGraphForward) {
   // Linear: no standalone BatchNorm, ReLU or add step.
   EXPECT_EQ(plan.size(), 9u);
   EXPECT_EQ(plan.output_size(), 2u);
+  // The second residual block holds its F-channel input and two 2F-channel
+  // values at once; its last conv writes over the projected shortcut.
+  EXPECT_EQ(plan.arena_size(), 5 * GetParam().base_filters * length);
   std::uint64_t seed = 900;
   for (std::size_t count : {1u, 3u, 31u, 32u, 33u}) {
     const auto x = random_tensor({count, 1, length}, seed++);
@@ -857,6 +869,71 @@ TEST(FusedConvBlockSpecials, ReluSemanticsOnSignedZeroInfNan) {
     Workspace fused_ws;
     expect_tensor_memcmp_equal(run_plan(plan, x, fused_ws), ref,
                                "fused specials");
+  }
+}
+
+TEST(EvalPlanSteps, ShortcutOverwriteOnlyWhereSafe) {
+  // A stride-1 conv block writes its output over the shortcut it adds
+  // when nothing reads the shortcut later. Two blocks here must not: one
+  // whose shortcut is also its conv input (identity residual around a
+  // single block, where the channel split would read what another chunk
+  // wrote), and a strided one (its kernel stores raw sums first).
+  Sequential net;
+  const auto block = [](Sequential& seq, std::size_t cin, std::size_t cout,
+                        std::size_t kernel, std::size_t stride) {
+    seq.emplace<Conv1d>(cin, cout, kernel, stride);
+    seq.emplace<BatchNorm1d>(cout);
+    seq.emplace<ReLU>();
+  };
+  block(net, 1, 16, 5, 1);
+  {
+    auto main = std::make_unique<Sequential>();
+    block(*main, 16, 16, 3, 1);
+    net.emplace<Residual>(std::move(main));
+  }
+  {
+    auto main = std::make_unique<Sequential>();
+    block(*main, 16, 16, 3, 1);
+    block(*main, 16, 16, 5, 1);
+    net.emplace<Residual>(std::move(main));
+  }
+  {
+    auto main = std::make_unique<Sequential>();
+    block(*main, 16, 24, 5, 2);
+    net.emplace<Residual>(std::move(main),
+                          std::make_unique<Conv1d>(16, 24, 1, 2, 0));
+  }
+  net.emplace<GlobalAvgPool1d>();
+  net.emplace<Linear>(24, 3);
+  Rng init(16);
+  init_module(net, init);
+  randomize_conv_blocks(net, 17);
+  net.set_training(false);
+
+  const std::size_t length = 41;
+  const EvalPlan plan(net, 1, length);
+  EXPECT_EQ(plan.size(), 8u);
+  std::uint64_t seed = 70;
+  for (std::size_t count : {1u, 5u}) {
+    const auto x = random_tensor({count, 1, length}, seed++);
+    for (Isa tier : host_tiers()) {
+      IsaCapGuard cap(tier);
+      Tensor ref;
+      {
+        kernels::IntraOpGuard one(1);
+        Workspace ws;
+        ref = net.forward(x, ws);
+      }
+      for (std::size_t threads : {1u, 4u}) {
+        kernels::IntraOpGuard intra(threads);
+        kernels::ParallelGrainGuard grain(1);
+        Workspace ws;
+        expect_tensor_memcmp_equal(
+            run_plan(plan, x, ws), ref,
+            "count " + std::to_string(count) + " threads " +
+                std::to_string(threads) + " " + kernels::isa_name());
+      }
+    }
   }
 }
 
