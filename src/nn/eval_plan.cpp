@@ -200,30 +200,56 @@ void EvalPlan::assign_offsets() {
     slots[best].value = value;
     slot_of[value] = best;
   };
-  place(input_, 0);
-  for (std::size_t i = 0; i < steps_.size(); ++i) place(steps_[i].out, i);
+  // The input and the output have regions of their own (run()).
+  for (std::size_t i = 0; i < steps_.size(); ++i)
+    if (steps_[i].out != output_) place(steps_[i].out, i);
 
   std::vector<std::size_t> slot_offset(slots.size());
-  arena_floats_ = 0;
+  work_floats_ = 0;
   for (std::size_t s = 0; s < slots.size(); ++s) {
-    slot_offset[s] = arena_floats_;
-    arena_floats_ += slots[s].floats;
+    slot_offset[s] = work_floats_;
+    work_floats_ += slots[s].floats;
   }
   for (std::size_t v = 0; v < values_.size(); ++v)
-    values_[v].offset = slot_offset[slot_of[v]];
+    if (slot_of[v] != kNone) values_[v].offset = slot_offset[slot_of[v]];
+  const std::size_t work_bytes = sizeof(float) * work_floats_;
+  group_ = work_bytes == 0
+               ? 1
+               : std::max<std::size_t>(1, kGroupBytes / work_bytes);
+}
+
+std::size_t EvalPlan::arena_floats(std::size_t count) const {
+  return count * (floats(input_) + floats(output_)) +
+         std::min(count, group_) * work_floats_;
 }
 
 float* EvalPlan::input(std::size_t count, Workspace& ws) const {
-  return ws.arena(count * arena_floats_) + count * values_[input_].offset;
+  return ws.arena(arena_floats(count));
 }
 
 const float* EvalPlan::run(std::size_t count, Workspace& ws) const {
-  float* arena = ws.arena(count * arena_floats_);
-  // Values are [count, ...] blocks, so a per-window offset scales by count.
-  const auto at = [&](std::size_t value) {
-    return arena + count * values_[value].offset;
-  };
+  // Arena: [count inputs][count outputs][one group's intermediate values].
+  float* const input = ws.arena(arena_floats(count));
+  float* const output = input + count * floats(input_);
+  float* const work = output + count * floats(output_);
   kernels::GemmScratch& gemm = ws.kernels().gemm;
+  for (std::size_t first = 0; first < count; first += group_) {
+    const std::size_t n = std::min(group_, count - first);
+    // Intermediate values are [n, ...] blocks, so a per-window offset
+    // scales by n.
+    const auto at = [&](std::size_t value) {
+      if (value == input_) return input + first * floats(input_);
+      if (value == output_) return output + first * floats(output_);
+      return work + n * values_[value].offset;
+    };
+    run_group(n, at, gemm);
+  }
+  return output_ == input_ ? input : output;
+}
+
+template <typename At>
+void EvalPlan::run_group(std::size_t count, const At& at,
+                         kernels::GemmScratch& gemm) const {
   for (const Step& s : steps_) {
     const Value& in = values_[s.in];
     const Value& out = values_[s.out];
@@ -256,7 +282,6 @@ const float* EvalPlan::run(std::size_t count, Workspace& ws) const {
         break;
     }
   }
-  return at(output_);
 }
 
 }  // namespace scalocate::nn

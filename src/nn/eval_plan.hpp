@@ -17,22 +17,28 @@
 // residual main branch must end in a conv block; other graphs are rejected
 // (run them through Sequential::forward, the unfused reference).
 //
-// Every value a step reads or writes sits at a fixed per-window offset of
-// the arena (nn::Workspace::arena); values whose lifetimes do not overlap
-// share storage. No step writes a buffer it reads, except that a stride-1
-// conv may write its output over the shortcut it adds when nothing reads
-// that shortcut later (the paper CNN's arena then holds 5 F N floats per
-// window instead of 6 F N). Batch-norm
-// statistics are folded to float (mean, 1/std) at compile time exactly as
-// BatchNorm1d's eval forward rounds them, and weights are read in place:
-// rebuild the plan after the model's parameters change.
+// The arena (nn::Workspace::arena) holds the inputs and outputs of all
+// windows of a run, and the intermediate values of one group of windows
+// (as many as fit in kGroupBytes): run() takes every step over one group
+// before the next, so a group's activations stay in cache. Each
+// intermediate value sits at a fixed per-window offset of that work
+// region; values whose lifetimes do not overlap share storage. No step
+// writes a buffer it reads, except that a stride-1 conv may write its
+// output over the shortcut it adds when nothing reads that shortcut later
+// (the paper CNN's work region then holds 5 F N floats per window instead
+// of 6 F N). Batch-norm statistics are folded to float (mean, 1/std) at
+// compile time exactly as BatchNorm1d's eval forward rounds them, and
+// weights are read in place: rebuild the plan after the model's
+// parameters change.
 //
 // Bit-identity: each step calls the kernel the replaced layer calls, with
 // the same operands in the same order. The conv epilogue applies BatchNorm
 // with the eval forward's roundings, then the ReLU, then the one rounded
-// shortcut add Residual::forward makes. A plan's outputs are therefore
-// memcmp-equal to Sequential::forward on the same inputs, on every kernel
-// tier and at every intra-op budget (test_nn_kernels holds it to that).
+// shortcut add Residual::forward makes. No kernel's result for a window
+// depends on the other windows of its call, so grouping changes nothing.
+// A plan's outputs are therefore memcmp-equal to Sequential::forward on
+// the same inputs, on every kernel tier and at every intra-op budget
+// (test_nn_kernels holds it to that).
 //
 // Thread-safety: a plan is immutable after construction and run() is
 // const; concurrent runs need distinct workspaces (Workspace::lane).
@@ -61,8 +67,17 @@ class EvalPlan {
   /// Floats per window of the output.
   std::size_t output_size() const { return floats(output_); }
 
-  /// Arena floats per window: the plan's activation footprint.
-  std::size_t arena_size() const { return arena_floats_; }
+  /// Bytes of intermediate values one group of windows may fill: run()
+  /// takes every step over one group before the next, and a group this
+  /// size stays in a core's L2 cache, where a 32-window tile would not.
+  static constexpr std::size_t kGroupBytes = 512 * 1024;
+
+  /// Windows per group (at least 1).
+  std::size_t group() const { return group_; }
+
+  /// Arena floats run() needs for `count` windows: their inputs and
+  /// outputs, and the intermediate values of one group.
+  std::size_t arena_floats(std::size_t count) const;
 
   /// Number of compiled steps (kernel calls per run).
   std::size_t size() const { return steps_.size(); }
@@ -82,7 +97,7 @@ class EvalPlan {
   struct Value {
     std::size_t channels;
     std::size_t length;  ///< 0 for a flat [count, channels] value
-    std::size_t offset = 0;  ///< arena floats per window before it
+    std::size_t offset = 0;  ///< work floats per window before it
   };
 
   enum class Kind { kConv, kGap, kLinear };
@@ -118,11 +133,16 @@ class EvalPlan {
                        std::size_t x);
   std::size_t add_linear(const Linear& linear, bool relu, std::size_t x);
   void assign_offsets();
+  /// Runs every step over `count` windows whose values are at at(value).
+  template <typename At>
+  void run_group(std::size_t count, const At& at,
+                 kernels::GemmScratch& gemm) const;
 
   std::vector<Step> steps_;
   std::vector<Value> values_;
   std::size_t input_ = 0, output_ = 0;
-  std::size_t arena_floats_ = 0;  ///< per window
+  std::size_t work_floats_ = 0;  ///< intermediate values, per window
+  std::size_t group_ = 1;
 };
 
 }  // namespace scalocate::nn

@@ -784,9 +784,14 @@ TEST_P(FusedConvBlock, WholeNetworkPlanMemcmpEqualToGraphForward) {
   // Linear: no standalone BatchNorm, ReLU or add step.
   EXPECT_EQ(plan.size(), 9u);
   EXPECT_EQ(plan.output_size(), 2u);
-  // The second residual block holds its F-channel input and two 2F-channel
-  // values at once; its last conv writes over the projected shortcut.
-  EXPECT_EQ(plan.arena_size(), 5 * GetParam().base_filters * length);
+  // Inputs and the two logits of every window, then one group's work
+  // region: the second residual block holds its F-channel input and two
+  // 2F-channel values at once, and its last conv writes over the
+  // projected shortcut.
+  const std::size_t work = 5 * GetParam().base_filters * length;
+  EXPECT_EQ(plan.arena_floats(1), length + 2 + work);
+  EXPECT_EQ(plan.arena_floats(32),
+            32 * (length + 2) + std::min<std::size_t>(32, plan.group()) * work);
   std::uint64_t seed = 900;
   for (std::size_t count : {1u, 3u, 31u, 32u, 33u}) {
     const auto x = random_tensor({count, 1, length}, seed++);
