@@ -70,7 +70,8 @@ int main() {
   const auto run_pipeline = [&](std::size_t n_inf, std::size_t stride,
                                 std::size_t median_k, float threshold) {
     core::SlidingWindowClassifier cls(locator.model(), n_inf, stride);
-    const auto swc = cls.classify(eval.samples);
+    nn::Workspace ws;
+    const auto swc = cls.classify(eval.samples, ws);
     core::SegmenterConfig seg_cfg;
     seg_cfg.threshold = threshold;
     seg_cfg.median_filter_k = median_k;

@@ -122,17 +122,9 @@ crypto::CipherId Engine::register_entry(
                   "Engine: model must be trained");
   const auto cipher = entry->locator->config().params.cipher;
   if (entry->registry) entry->stream_prefix = "stream." + metric_model_name(cipher);
-  if (config_.max_batch_windows > 0) {
-    runtime::BatchConfig bc;
-    bc.max_batch_windows = config_.max_batch_windows;
-    bc.batch_linger = std::chrono::microseconds(config_.batch_linger_us);
-    bc.intra_op_threads = config_.batch_intra_op_threads;
-    bc.registry = config_.registry;
-    if (config_.registry)
-      bc.metric_prefix = "batch." + metric_model_name(cipher);
-    entry->batcher =
-        std::make_unique<runtime::WindowBatcher>(*entry->locator, bc);
-  }
+  if (config_.max_batch_windows > 0)
+    entry->batcher = std::make_unique<runtime::WindowBatcher>(
+        *entry->locator, config_, "batch." + metric_model_name(cipher));
   // A replaced entry may hold the last reference to a service with jobs
   // still in flight; its drain() must run after the registry lock is
   // released, or a hot-swap would stall every other Engine operation.

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/signal.hpp"
-#include "nn/serialize.hpp"
 
 namespace scalocate::core {
 
@@ -21,7 +20,6 @@ TrainReport CoLocator::train(const trace::CipherAcquisition& ciphers,
   Trainer trainer(config_.params, config_.seed ^ 0x7472ULL);
   TrainReport report = trainer.fit(*model_, split);
   compile_classifier();
-  trained_ = true;
 
   // Mean CO length from the profiling captures (drives the automatic
   // median-filter size and alignment segment lengths).
@@ -141,6 +139,12 @@ std::ptrdiff_t median_offset(const std::vector<std::size_t>& detections,
 
 }  // namespace
 
+const SlidingWindowClassifier& CoLocator::classifier() const {
+  detail::require(classifier_ != nullptr,
+                  "CoLocator: not trained; train() or load an artifact first");
+  return *classifier_;
+}
+
 void CoLocator::compile_classifier() {
   classifier_ = std::make_unique<SlidingWindowClassifier>(
       *model_, config_.params.n_inf, config_.params.stride);
@@ -197,8 +201,7 @@ void CoLocator::calibrate(const trace::CipherAcquisition& ciphers) {
 
 std::vector<std::size_t> CoLocator::locate(std::span<const float> trace_samples,
                                            nn::Workspace& ws) const {
-  detail::require(trained_, "CoLocator::locate: train() or load_model() first");
-  const SlidingWindowResult swc = classifier_->classify(trace_samples, ws);
+  const SlidingWindowResult swc = classifier().classify(trace_samples, ws);
   if (swc.scores.empty()) return {};
   // Every score, then end of trace with the whole trace resident.
   Segmenter seg =
@@ -242,18 +245,6 @@ void CoLocator::restore_calibration(CalibrationState state) {
   fine_template_ = std::move(state.fine_template);
   model_->set_training(false);
   compile_classifier();
-  trained_ = true;
-}
-
-void CoLocator::save_model(const std::string& path) const {
-  nn::save_module(*model_, path);
-}
-
-void CoLocator::load_model(const std::string& path) {
-  nn::load_module(*model_, path);
-  model_->set_training(false);
-  compile_classifier();
-  trained_ = true;
 }
 
 }  // namespace scalocate::core

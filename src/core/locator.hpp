@@ -76,12 +76,6 @@ class CoLocator {
   AlignedTraces locate_and_align(std::span<const float> trace_samples,
                                  std::size_t segment_length) const;
 
-  /// Legacy weights-only persistence (architecture must match the config;
-  /// calibration is NOT saved). Prefer export_artifact/from_artifact, which
-  /// bundle everything a fresh process needs to serve.
-  void save_model(const std::string& path) const;
-  void load_model(const std::string& path);
-
   /// Everything train() produces beyond the CNN weights. Bundled into
   /// versioned model artifacts (api/artifact) so a fresh process can serve
   /// without retraining.
@@ -105,7 +99,7 @@ class CoLocator {
   void export_artifact(const std::string& path) const;
   static CoLocator from_artifact(const std::string& path);
 
-  bool is_trained() const { return trained_; }
+  bool is_trained() const { return classifier_ != nullptr; }
   /// Total systematic lead removed at inference (coarse + fine stage).
   std::ptrdiff_t calibration_offset() const {
     return coarse_offset_ + fine_offset_;
@@ -113,11 +107,19 @@ class CoLocator {
   std::ptrdiff_t coarse_offset() const { return coarse_offset_; }
   std::ptrdiff_t fine_offset() const { return fine_offset_; }
   double mean_co_length() const { return mean_co_length_; }
-  /// The CNN. locate() runs an eval plan compiled from it by train(),
-  /// load_model() and restore_calibration(); parameters changed through
-  /// this reference reach locate() at the next of those calls.
+  /// The CNN. Inference runs the eval plan classifier() compiled from it;
+  /// parameters changed through this reference reach inference at the
+  /// next train() or restore_calibration().
   nn::Sequential& model() { return *model_; }
   const nn::Sequential& model() const { return *model_; }
+  /// The model's compiled eval plan: the one SlidingWindowClassifier every
+  /// inference path of this model scores through (locate(), calibration,
+  /// runtime::StreamingLocator and runtime::WindowBatcher), so a served
+  /// model is compiled once, not per stream. train() and
+  /// restore_calibration() rebuild it, so callers fetch it on each use
+  /// and keep no reference across those calls. Throws when the locator is
+  /// not trained.
+  const SlidingWindowClassifier& classifier() const;
   const LocatorConfig& config() const { return config_; }
 
   // --- segmentation (offline locate and runtime/streaming_locator) -------
@@ -168,9 +170,8 @@ class CoLocator {
 
   LocatorConfig config_;
   std::unique_ptr<nn::Sequential> model_;
-  /// The model's compiled eval plan; set whenever trained_ is.
+  /// The model's compiled eval plan; null until trained.
   std::unique_ptr<SlidingWindowClassifier> classifier_;
-  bool trained_ = false;
   /// Stage-1 offset: median (raw rising edge - true start), measured on the
   /// calibration trace before refinement. The rising edge leads the true
   /// start because the CNN fires as soon as the motif enters the window.

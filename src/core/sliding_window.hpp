@@ -7,7 +7,9 @@
 // than in the softmax probabilities.
 //
 // score_window_batch is the one scoring path and the one place that
-// parallelises it. CoLocator (via score_into), StreamingLocator, and
+// parallelises it. A served model has one classifier, compiled and owned
+// by its CoLocator (CoLocator::classifier()): offline locate (via
+// score_into), every runtime::StreamingLocator and the model's
 // runtime::WindowBatcher all hand it their windows. The constructor
 // compiles the model into an nn::EvalPlan; score_window_batch cuts the
 // windows into tiles of kScoreTile and, per tile, standardizes each window
@@ -32,10 +34,11 @@
 // run concurrently, `window_at` must be safe to call from several threads
 // at once (a pure read of the caller's samples).
 //
-// The classifier never mutates the model: it requires an eval-mode network
-// and runs every plan in a caller-owned (or per-classifier) nn::Workspace,
-// so one trained model can serve many concurrent classifiers (see
-// runtime/locator_service). The plan reads the model's weights in place
+// The classifier never mutates the model and holds no mutable state: it
+// requires an eval-mode network and runs every plan in a caller-owned
+// nn::Workspace, so one classifier serves any number of concurrent
+// callers, each with its own workspace (see runtime/locator_service and
+// runtime/window_batcher). The plan reads the model's weights in place
 // and snapshots its batch-norm statistics: build a new classifier after
 // the model changes.
 #pragma once
@@ -86,12 +89,6 @@ class SlidingWindowClassifier {
   /// workspace. Thread-safe for concurrent calls with distinct workspaces.
   SlidingWindowResult classify(std::span<const float> trace_samples,
                                nn::Workspace& ws) const;
-
-  /// Convenience using the classifier's own workspace (not thread-safe
-  /// across concurrent calls on the same classifier instance).
-  SlidingWindowResult classify(std::span<const float> trace_samples) const {
-    return classify(trace_samples, scratch_);
-  }
 
   /// The zero-copy scoring path shared by the offline (score_into),
   /// streaming (StreamingLocator) and batched (WindowBatcher) callers:
@@ -153,7 +150,6 @@ class SlidingWindowClassifier {
   std::size_t window_;
   std::size_t stride_;
   nn::EvalPlan plan_;
-  mutable nn::Workspace scratch_;
 };
 
 }  // namespace scalocate::core

@@ -8,19 +8,6 @@
 
 namespace scalocate::runtime {
 
-namespace {
-
-/// Checked before the classifier member touches the model, so an untrained
-/// locator produces this message rather than the classifier's eval-mode
-/// complaint.
-const core::CoLocator& require_trained(const core::CoLocator& locator) {
-  detail::require(locator.is_trained(),
-                  "StreamingLocator: locator must be trained");
-  return locator;
-}
-
-}  // namespace
-
 StreamMetrics StreamMetrics::resolve(obs::Registry& registry,
                                      const std::string& prefix) {
   const std::string p = prefix.empty() ? "stream" : prefix;
@@ -33,52 +20,53 @@ StreamMetrics StreamMetrics::resolve(obs::Registry& registry,
   return m;
 }
 
+std::span<const float> IngestCheck::check(std::span<const float> chunk) {
+  // Chaos hook: an armed "stream.feed" site NaN-poisons the chunk HERE,
+  // upstream of validation — the injected corruption must be caught by the
+  // same scan that catches a real dying probe.
+  std::span<const float> data = chunk;
+  if (FaultInjector::instance().poison("stream.feed", chunk, scratch_))
+    data = scratch_;
+  std::size_t bad = 0;
+  for (const float sample : data)
+    if (!std::isfinite(sample)) ++bad;
+  if (bad == 0) return data;
+  corrupt_ += bad;
+  if (counter_) counter_->add(bad);
+  if (policy_ == StreamingConfig::NanPolicy::kReject)
+    // Stream state untouched: the bad chunk is simply not part of the
+    // stream, so the caller can keep feeding clean chunks and parity with
+    // offline locate over the accepted samples holds.
+    throw CorruptSignal("stream feed: chunk contains " + std::to_string(bad) +
+                        " non-finite sample(s); nan_policy is kReject");
+  if (data.data() != scratch_.data()) scratch_.assign(data.begin(), data.end());
+  for (float& sample : scratch_)
+    if (!std::isfinite(sample)) sample = 0.0f;
+  return scratch_;
+}
+
 StreamingLocator::StreamingLocator(const core::CoLocator& locator,
                                    StreamingConfig config)
-    : classifier_(require_trained(locator).model(),
-                  locator.config().params.n_inf,
-                  locator.config().params.stride),
+    : locator_(locator),
+      window_(locator.classifier().window()),  // throws when untrained
+      stride_(locator.classifier().stride()),
       segmenter_(locator.segmenter(config.threshold)),
-      window_(locator.config().params.n_inf),
-      stride_(locator.config().params.stride),
-      nan_policy_(config.nan_policy) {
-  if (config.registry)
-    metrics_ = StreamMetrics::resolve(*config.registry, config.metric_prefix);
-}
+      metrics_(config.registry ? StreamMetrics::resolve(*config.registry,
+                                                        config.metric_prefix)
+                               : StreamMetrics{}),
+      ingest_(config.nan_policy, metrics_.corrupt_samples) {}
 
 void StreamingLocator::reset() {
   ring_.reset();
   segmenter_.reset();
   finished_ = false;
-  corrupt_samples_ = 0;
+  ingest_.reset();
 }
 
 std::vector<Detection> StreamingLocator::feed(std::span<const float> chunk) {
   detail::require(!finished_,
                   "StreamingLocator::feed after finish (reset() first)");
-  // Chaos hook: an armed "stream.feed" site NaN-poisons the chunk HERE,
-  // upstream of validation — the injected corruption must be caught by the
-  // same scan that catches a real dying probe.
-  std::span<const float> data = chunk;
-  if (FaultInjector::instance().poison("stream.feed", chunk, sanitize_buf_))
-    data = sanitize_buf_;
-
-  const ScrubResult scrub = scrub_non_finite(data, nan_policy_, sanitize_buf_);
-  if (scrub.bad > 0) {
-    corrupt_samples_ += scrub.bad;
-    if (metrics_.enabled()) metrics_.corrupt_samples->add(scrub.bad);
-    if (nan_policy_ == StreamingConfig::NanPolicy::kReject)
-      // Stream state untouched: the bad chunk is simply not part of the
-      // stream, so the caller can keep feeding clean chunks and parity
-      // with offline locate over the accepted samples holds.
-      throw CorruptSignal("StreamingLocator::feed: chunk contains " +
-                          std::to_string(scrub.bad) +
-                          " non-finite sample(s); nan_policy is kReject");
-  }
-  data = scrub.data;
-
-  if (metrics_.enabled()) metrics_.samples_fed->add(data.size());
-  ring_.append(data);
+  append_ingested(ingest_.check(chunk));
   // Score every window fully contained in the stream so far in one
   // score_window_batch call, standardizing each straight from the ring
   // into the workspace's plan arena — the identical zero-copy path the
@@ -88,27 +76,12 @@ std::vector<Detection> StreamingLocator::feed(std::span<const float> chunk) {
   const std::size_t count = ready_windows();
   scores_buf_.resize(count);
   if (count > 0)
-    classifier_.score_window_batch(
+    locator_.classifier().score_window_batch(
         count, [&](std::size_t i) { return ready_window(i); },
         scores_buf_.data(), ws_);
   std::vector<Detection> out;
   advance(scores_buf_, out);
   return out;
-}
-
-StreamingLocator::ScrubResult StreamingLocator::scrub_non_finite(
-    std::span<const float> chunk, StreamingConfig::NanPolicy policy,
-    std::vector<float>& scratch) {
-  ScrubResult r{chunk, 0};
-  for (const float sample : chunk)
-    if (!std::isfinite(sample)) ++r.bad;
-  if (r.bad == 0 || policy == StreamingConfig::NanPolicy::kReject) return r;
-  if (chunk.data() != scratch.data())
-    scratch.assign(chunk.begin(), chunk.end());
-  for (float& sample : scratch)
-    if (!std::isfinite(sample)) sample = 0.0f;
-  r.data = scratch;
-  return r;
 }
 
 std::vector<Detection> StreamingLocator::finish() {

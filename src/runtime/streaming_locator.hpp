@@ -11,6 +11,11 @@
 //           median filter, rising edges, offset correction, fine template
 //           alignment, sorted release, dedup) -> detections
 //
+// Scores come from the locator's own compiled classifier
+// (CoLocator::classifier()), so opening a stream compiles no plan. Every
+// chunk first passes IngestCheck, the NaN check the batched path
+// (runtime::BatchedStream) runs too.
+//
 // Detections are emitted online, as soon as no future sample can change
 // them, and are *identical* to CoLocator::locate on the concatenated
 // stream (the parity is tested for chunk sizes from < one window up to the
@@ -89,12 +94,44 @@ struct StreamMetrics {
                                const std::string& prefix);
 };
 
+/// The check every chunk passes before it joins a stream, shared by both
+/// stream paths: StreamingLocator::feed and runtime::BatchedStream::feed
+/// (on the producer thread). It runs the "stream.feed" chaos hook, which
+/// may NaN-poison the chunk upstream of validation so that injected
+/// corruption is caught by the same scan as a real dying probe; counts the
+/// non-finite samples (corrupt_samples() and the stream's
+/// `.corrupt_samples` counter), and applies the NanPolicy.
+class IngestCheck {
+ public:
+  /// `corrupt_samples` is the stream's telemetry counter (null = off).
+  IngestCheck(StreamingConfig::NanPolicy policy,
+              obs::Counter* corrupt_samples)
+      : policy_(policy), counter_(corrupt_samples) {}
+
+  /// Returns the samples to append: `chunk` itself, or the check's own
+  /// scratch holding the poisoned and sanitized copy (valid until the next
+  /// call). Under kReject a chunk with non-finite samples throws
+  /// CorruptSignal after they are counted, so the caller appends nothing.
+  std::span<const float> check(std::span<const float> chunk);
+
+  /// Non-finite samples seen so far (rejected or sanitized).
+  std::size_t corrupt_samples() const { return corrupt_; }
+  void reset() { corrupt_ = 0; }
+
+ private:
+  StreamingConfig::NanPolicy policy_;
+  obs::Counter* counter_;
+  std::size_t corrupt_ = 0;
+  std::vector<float> scratch_;  ///< poison / NaN-scrub copy
+};
+
 class StreamingLocator {
  public:
-  /// `locator` must be trained and outlive this object; its model is
-  /// shared, never copied. Each StreamingLocator owns its scratch
-  /// workspace, so independent instances may run on separate threads
-  /// against the same locator.
+  /// `locator` must be trained and outlive this object. Windows are scored
+  /// through the locator's own compiled classifier (fetched on each use,
+  /// never copied or recompiled), so opening a stream compiles nothing.
+  /// Each StreamingLocator owns its scratch workspace, so independent
+  /// instances may run on separate threads against the same locator.
   explicit StreamingLocator(const core::CoLocator& locator,
                             StreamingConfig config = {});
 
@@ -124,23 +161,6 @@ class StreamingLocator {
   // All five methods below — like feed()/finish() — must be called from
   // one thread at a time (the scheduler thread); cross-thread hand-off of
   // raw samples is the ingest half's job (runtime::SpscRing).
-
-  /// Result of scrub_non_finite: the data to append (possibly `scratch`
-  /// with zeros substituted) and how many non-finite samples were found.
-  struct ScrubResult {
-    std::span<const float> data;
-    std::size_t bad = 0;
-  };
-  /// Shared NaN-policy scrub used by the self-scoring feed() and by the
-  /// batched ingest half (runtime::BatchedStream::feed): counts non-finite
-  /// samples and, under kSanitize, rewrites them to 0.0f in `scratch`
-  /// (handles `chunk` already aliasing `scratch`, as after fault
-  /// poisoning). Never throws — the caller owns the accounting and the
-  /// kReject CorruptSignal, so corruption is counted even when the chunk
-  /// is rejected.
-  static ScrubResult scrub_non_finite(std::span<const float> chunk,
-                                      StreamingConfig::NanPolicy policy,
-                                      std::vector<float>& scratch);
 
   /// Appends pre-validated samples (NaN policy already applied by the
   /// ingest half) without scoring anything.
@@ -174,7 +194,7 @@ class StreamingLocator {
   bool finished() const { return finished_; }
   /// Non-finite samples seen at feed() boundaries on this stream
   /// (maintained with or without telemetry). reset() clears it.
-  std::size_t corrupt_samples() const { return corrupt_samples_; }
+  std::size_t corrupt_samples() const { return ingest_.corrupt_samples(); }
 
  private:
   void advance(std::span<const float> scores, std::vector<Detection>& out);
@@ -182,24 +202,21 @@ class StreamingLocator {
                          std::size_t first);
   std::span<const float> resident() const;
 
-  core::SlidingWindowClassifier classifier_;
+  const core::CoLocator& locator_;
+  std::size_t window_;
+  std::size_t stride_;
   core::Segmenter segmenter_;
+  StreamMetrics metrics_;  ///< all-null when telemetry is off
+  IngestCheck ingest_;
   nn::Workspace ws_;
-  std::size_t window_ = 0;
-  std::size_t stride_ = 1;
-  StreamingConfig::NanPolicy nan_policy_ = StreamingConfig::NanPolicy::kReject;
 
   // Stream state.
   SampleRing ring_;
   bool finished_ = false;
-  std::size_t corrupt_samples_ = 0;  ///< non-finite samples seen at feed()
 
   // Reused scratch. (Windows are standardized from the ring directly into
   // the input region of ws_'s eval-plan arena.)
   std::vector<float> scores_buf_;
-  std::vector<float> sanitize_buf_;  ///< feed() NaN-scrub / poison scratch
-
-  StreamMetrics metrics_;  ///< all-null when telemetry is off
 };
 
 }  // namespace scalocate::runtime

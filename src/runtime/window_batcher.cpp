@@ -8,30 +8,18 @@
 
 namespace scalocate::runtime {
 
-namespace {
-
-/// Checked before the classifier member touches the model (same guard as
-/// StreamingLocator's ctor).
-const core::CoLocator& require_trained(const core::CoLocator& locator) {
-  detail::require(locator.is_trained(),
-                  "WindowBatcher: locator must be trained");
-  return locator;
-}
-
-}  // namespace
-
 BatchMetrics BatchMetrics::resolve(obs::Registry& registry,
                                    const std::string& prefix) {
-  const std::string p = prefix.empty() ? "batch" : prefix;
   BatchMetrics m;
-  m.coalesced_windows = &registry.counter(p + ".coalesced_windows");
-  m.batches = &registry.counter(p + ".batches");
-  m.flush_full = &registry.counter(p + ".flush_full");
-  m.flush_linger = &registry.counter(p + ".flush_linger");
-  m.flush_eof = &registry.counter(p + ".flush_eof");
-  m.sessions = &registry.gauge(p + ".sessions");
-  m.ingest_resident_samples = &registry.gauge(p + ".ingest_resident_samples");
-  m.occupancy_windows = &registry.histogram(p + ".occupancy_windows");
+  m.coalesced_windows = &registry.counter(prefix + ".coalesced_windows");
+  m.batches = &registry.counter(prefix + ".batches");
+  m.flush_full = &registry.counter(prefix + ".flush_full");
+  m.flush_linger = &registry.counter(prefix + ".flush_linger");
+  m.flush_eof = &registry.counter(prefix + ".flush_eof");
+  m.sessions = &registry.gauge(prefix + ".sessions");
+  m.ingest_resident_samples =
+      &registry.gauge(prefix + ".ingest_resident_samples");
+  m.occupancy_windows = &registry.histogram(prefix + ".occupancy_windows");
   return m;
 }
 
@@ -43,41 +31,24 @@ BatchedStream::BatchedStream(WindowBatcher& owner,
                              const core::CoLocator& locator,
                              const StreamingConfig& config)
     : owner_(owner),
-      nan_policy_(config.nan_policy),
-      ingest_(owner.config_.ingest_capacity),
-      core_(locator, config) {
-  // The scoring core counts samples/windows/detections on the scheduler
-  // thread; corruption is caught on the producer side, so resolve that one
-  // counter here (same instrument the self-scoring path uses).
-  if (config.registry)
-    corrupt_counter_ =
-        StreamMetrics::resolve(*config.registry, config.metric_prefix)
-            .corrupt_samples;
-}
+      ingest_(kIngestCapacity),
+      core_(locator, config),
+      // The scoring core counts samples/windows/detections on the
+      // scheduler thread; corruption is caught on the producer side, into
+      // the same instrument the self-scoring path uses.
+      check_(config.nan_policy,
+             config.registry ? StreamMetrics::resolve(*config.registry,
+                                                      config.metric_prefix)
+                                   .corrupt_samples
+                             : nullptr) {}
 
 void BatchedStream::feed(std::span<const float> chunk) {
   detail::require(!finish_called_, "BatchedStream::feed after finish");
   if (failed_.load(std::memory_order_acquire)) rethrow_error();
 
-  // Chaos hook: the same "stream.feed" poison site as the self-scoring
-  // path, upstream of validation.
-  std::span<const float> data = chunk;
-  if (FaultInjector::instance().poison("stream.feed", chunk, scrub_))
-    data = scrub_;
-
-  const auto scan =
-      StreamingLocator::scrub_non_finite(data, nan_policy_, scrub_);
-  if (scan.bad > 0) {
-    corrupt_.fetch_add(scan.bad, std::memory_order_relaxed);
-    if (corrupt_counter_) corrupt_counter_->add(scan.bad);
-    if (nan_policy_ == StreamingConfig::NanPolicy::kReject)
-      // Ring untouched: the bad chunk never becomes part of the stream,
-      // exactly as on the self-scoring path.
-      throw CorruptSignal("BatchedStream::feed: chunk contains " +
-                          std::to_string(scan.bad) +
-                          " non-finite sample(s); nan_policy is kReject");
-  }
-  data = scan.data;
+  // Ring untouched on a rejected chunk: it never becomes part of the
+  // stream, exactly as on the self-scoring path.
+  const std::span<const float> data = check_.check(chunk);
 
   std::size_t offset = 0;
   while (true) {
@@ -135,15 +106,14 @@ void BatchedStream::rethrow_error() {
 // ---------------------------------------------------------------------------
 
 WindowBatcher::WindowBatcher(const core::CoLocator& locator,
-                             BatchConfig config)
-    : locator_(require_trained(locator)),
-      classifier_(locator.model(), locator.config().params.n_inf,
-                  locator.config().params.stride),
-      config_(std::move(config)) {
+                             const EngineConfig& config,
+                             std::string metric_prefix)
+    : locator_(locator), config_(config) {
+  locator_.classifier();  // throws when untrained
   detail::require(config_.max_batch_windows > 0,
                   "WindowBatcher: max_batch_windows must be > 0");
   if (config_.registry)
-    metrics_ = BatchMetrics::resolve(*config_.registry, config_.metric_prefix);
+    metrics_ = BatchMetrics::resolve(*config_.registry, metric_prefix);
   scheduler_ = std::thread([this] { run(); });
 }
 
@@ -196,7 +166,7 @@ void WindowBatcher::run() {
   // every push, but the notify is lockless so a wakeup racing the wait can
   // be lost — the timed wait bounds that loss to one cadence period, and
   // an idle batcher at this cadence is invisible in a profile.
-  auto cadence = config_.batch_linger;
+  auto cadence = batch_linger();
   if (cadence < std::chrono::microseconds(200))
     cadence = std::chrono::microseconds(200);
   if (cadence > std::chrono::milliseconds(2))
@@ -331,7 +301,7 @@ bool WindowBatcher::tick() {
     } else if (eof_staged || stop_.load(std::memory_order_relaxed)) {
       flush = true;
       reason = metrics_.flush_eof;
-    } else if (now - pending_since_ >= config_.batch_linger) {
+    } else if (now - pending_since_ >= batch_linger()) {
       flush = true;
       reason = metrics_.flush_linger;
     }
@@ -346,8 +316,8 @@ bool WindowBatcher::tick() {
         rows_.push_back(st.stream->core_.ready_window(i));
     scores_.resize(total);
     {
-      nn::kernels::IntraOpGuard intra(config_.intra_op_threads);
-      classifier_.score_window_batch(
+      nn::kernels::IntraOpGuard intra(config_.batch_intra_op_threads);
+      locator_.classifier().score_window_batch(
           total, [&](std::size_t row) { return rows_[row]; }, scores_.data(),
           ws_);
     }

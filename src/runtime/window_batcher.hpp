@@ -17,6 +17,14 @@
 //                          deliver detections           scoring whole
 //                                                       32-window tiles
 //
+// Every flush scores through the model's one compiled classifier
+// (CoLocator::classifier(), fetched per flush because restore_calibration
+// rebuilds it): the batcher compiles no plan of its own, and neither do
+// its streams' scoring cores, so whole-trace jobs, self-scoring streams
+// and the batcher of one model share one plan. The batcher's settings are
+// the batching fields of the engine's EngineConfig (max_batch_windows,
+// batch_linger_us, batch_intra_op_threads, registry).
+//
 // A flush forks once: its tile workers each run complete forward passes
 // (standardize, every conv block, GAP and the FC head) in their own
 // workspace lane, instead of forking and joining every conv layer while
@@ -65,38 +73,14 @@
 #include <vector>
 
 #include "core/locator.hpp"
-#include "core/sliding_window.hpp"
 #include "obs/registry.hpp"
+#include "runtime/locator_service.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "runtime/streaming_locator.hpp"
 
 namespace scalocate::runtime {
 
 class WindowBatcher;
-
-struct BatchConfig {
-  /// Windows coalesced into one flush at most. Bigger batches give the
-  /// tile workers more tiles to share but hold early windows longer.
-  std::size_t max_batch_windows = 256;
-  /// How long a partially filled batch may wait for more windows before it
-  /// is flushed anyway. The latency bound a quiet fleet pays; 0 = flush
-  /// every tick.
-  std::chrono::microseconds batch_linger{200};
-  /// Per-stream ingest ring capacity in samples (rounded up to a power of
-  /// two). Bounds fleet memory: a full ring back-pressures its producer.
-  std::size_t ingest_capacity = 4096;
-  /// Tile workers per flush (see core/sliding_window.hpp): a flush's
-  /// windows are scored as 32-window tiles on up to this many
-  /// compute-pool threads, the scheduler thread included. 0 = process
-  /// default (SCALOCATE_THREADS): unlike per-job scoring, the batcher IS
-  /// the model's shared compute path, so it defaults wide. Detections are
-  /// bit-identical at every setting.
-  std::size_t intra_op_threads = 0;
-  /// Telemetry sink (must outlive the batcher). Null = telemetry off.
-  obs::Registry* registry = nullptr;
-  /// Instrument name prefix, e.g. "batch.aes128" (default "batch").
-  std::string metric_prefix;
-};
 
 /// Resolved batcher instrument set (README "Observability" lists them).
 struct BatchMetrics {
@@ -122,6 +106,10 @@ struct BatchMetrics {
 /// thread.
 class BatchedStream {
  public:
+  /// Ingest ring capacity in samples. Bounds fleet memory: a full ring
+  /// back-pressures its producer.
+  static constexpr std::size_t kIngestCapacity = 4096;
+
   /// Pushes a chunk of samples into the ingest ring. Applies the stream's
   /// NanPolicy on the producer thread (kReject throws CorruptSignal with
   /// the ring untouched; kSanitize scrubs), then hands the samples to the
@@ -150,9 +138,8 @@ class BatchedStream {
   std::size_t resident_samples() const {
     return resident_.load(std::memory_order_relaxed);
   }
-  std::size_t corrupt_samples() const {
-    return corrupt_.load(std::memory_order_relaxed);
-  }
+  /// Non-finite samples seen by feed() (producer thread only).
+  std::size_t corrupt_samples() const { return check_.corrupt_samples(); }
   std::size_t ingest_high_watermark() const {
     return ingest_.high_watermark();
   }
@@ -167,7 +154,6 @@ class BatchedStream {
   [[noreturn]] void rethrow_error();
 
   WindowBatcher& owner_;
-  StreamingConfig::NanPolicy nan_policy_;
   SpscRing ingest_;
 
   // Scheduler-thread state: the scoring core and its bookkeeping. Touched
@@ -176,15 +162,13 @@ class BatchedStream {
   bool sched_eof_done_ = false;
 
   // Producer-thread state.
-  std::vector<float> scrub_;  ///< NaN-scrub / poison scratch
+  IngestCheck check_;
   bool finish_called_ = false;
 
   // Cross-thread.
   std::atomic<bool> eof_requested_{false};
   std::atomic<bool> failed_{false};  ///< error_ published under mutex_
-  std::atomic<std::size_t> corrupt_{0};
   std::atomic<std::size_t> resident_{0};
-  obs::Counter* corrupt_counter_ = nullptr;  ///< stream.<model>.corrupt_samples
 
   // Result hand-off (cold path): the scheduler pushes finalized detections
   // and the terminal eof/error states under this mutex; cv wakes finish().
@@ -197,10 +181,15 @@ class BatchedStream {
 
 class WindowBatcher {
  public:
-  /// `locator` must be trained and outlive the batcher. Spawns the
-  /// scheduler thread immediately.
-  explicit WindowBatcher(const core::CoLocator& locator,
-                         BatchConfig config = {});
+  /// `locator` must be trained and outlive the batcher; flushes score
+  /// through its compiled classifier (fetched on each flush, never
+  /// recompiled). Reads the batching fields of `config`:
+  /// max_batch_windows (must be > 0 here), batch_linger_us,
+  /// batch_intra_op_threads and registry. `metric_prefix` names the
+  /// batcher's instruments in config.registry. Spawns the scheduler thread
+  /// immediately.
+  WindowBatcher(const core::CoLocator& locator, const EngineConfig& config,
+                std::string metric_prefix = "batch");
   /// Fails any stream still attached (a blocked finish() wakes with the
   /// error), then joins the scheduler thread.
   ~WindowBatcher();
@@ -216,7 +205,7 @@ class WindowBatcher {
   const BatchMetrics& metrics() const { return metrics_; }
   std::size_t max_batch_windows() const { return config_.max_batch_windows; }
   std::chrono::microseconds batch_linger() const {
-    return config_.batch_linger;
+    return std::chrono::microseconds(config_.batch_linger_us);
   }
 
  private:
@@ -238,9 +227,8 @@ class WindowBatcher {
   void deliver(BatchedStream& stream, std::vector<Detection>& detections);
 
   const core::CoLocator& locator_;
-  core::SlidingWindowClassifier classifier_;
   nn::Workspace ws_;
-  BatchConfig config_;
+  EngineConfig config_;
   BatchMetrics metrics_;
 
   std::mutex streams_mutex_;

@@ -6,9 +6,10 @@
 // per window count, SlidingWindowClassifier::score_window_batch and
 // score_into at intra-op budget 1 (the whole-trace job shape) must not
 // allocate at all: the eval plan's arena, the kernels' pack buffers and
-// the tile dispatch are all reused. CoLocator::locate compiles its plan
-// once per model, so a whole-trace job allocates only its result and
-// segmenter state, however many windows it scores.
+// the tile dispatch are all reused. CoLocator compiles its plan once per
+// model, so a whole-trace job allocates only its result and segmenter
+// state, however many windows it scores, and opening a stream (self-scoring
+// or batched) allocates only the stream's own state.
 //
 // ASan and TSan supply their own allocator, so a sanitizer build keeps
 // the default operators and skips the checks (GTEST_SKIP, reported by
@@ -26,6 +27,8 @@
 #include "core/model.hpp"
 #include "core/sliding_window.hpp"
 #include "nn/kernels/parallel.hpp"
+#include "runtime/streaming_locator.hpp"
+#include "runtime/window_batcher.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define SCALOCATE_TEST_SANITIZED 1
@@ -114,42 +117,80 @@ TEST_P(AllocFreeScoringConfigs, SteadyStateScoringAllocatesNothing) {
   }
 }
 
-TEST_P(AllocFreeScoringConfigs, LocateDoesNotRecompileThePlan) {
-#if defined(SCALOCATE_TEST_SANITIZED)
-  GTEST_SKIP() << kSanitized;
-#endif
+/// A locator with untrained weights, marked ready to serve. Its threshold
+/// is one no score reaches: no detections, so the segmenter's work (and
+/// its allocations) does not depend on the weights.
+CoLocator serving_stub(const CnnConfig& cnn) {
   LocatorConfig config;
-  config.cnn = GetParam();
-  // A threshold no score reaches: no detections, so the segmenter's work
-  // (and its allocations) does not depend on the untrained weights.
+  config.cnn = cnn;
   config.params.threshold = 1e30f;
   CoLocator locator(config);
   CoLocator::CalibrationState state;
   state.mean_co_length = 1000.0;
   locator.restore_calibration(state);
-  const std::size_t window = config.params.n_inf;
-  const std::size_t stride = config.params.stride;
+  return locator;
+}
+
+/// What compiling the locator's plan costs: a path that recompiled it
+/// would allocate at least this much.
+std::size_t plan_compile_allocations(const CoLocator& locator) {
+  const std::size_t before = g_allocations.load();
+  {
+    const SlidingWindowClassifier c(locator.model(),
+                                    locator.config().params.n_inf,
+                                    locator.config().params.stride);
+  }
+  return g_allocations.load() - before;
+}
+
+TEST_P(AllocFreeScoringConfigs, LocateDoesNotRecompileThePlan) {
+#if defined(SCALOCATE_TEST_SANITIZED)
+  GTEST_SKIP() << kSanitized;
+#endif
+  const CoLocator locator = serving_stub(GetParam());
+  const std::size_t window = locator.config().params.n_inf;
+  const std::size_t stride = locator.config().params.stride;
   const auto trace = random_trace(window + stride * 255, 43);
   const std::span<const float> samples(trace);
 
   nn::kernels::IntraOpGuard one_thread(1);
-  // What compiling the plan costs: a locate() that recompiled it per call
-  // would allocate at least this much.
-  std::size_t before = g_allocations.load();
-  { const SlidingWindowClassifier c(locator.model(), window, stride); }
-  const std::size_t compile = g_allocations.load() - before;
   constexpr std::size_t kLocateBudget = 16;  // results + segmenter state
-  ASSERT_GT(compile, kLocateBudget);
+  ASSERT_GT(plan_compile_allocations(locator), kLocateBudget);
 
   nn::Workspace ws;
   for (const std::size_t count : {1u, 33u, 256u}) {
     const auto part = samples.first(window + stride * (count - 1));
     locator.locate(part, ws);  // warm-up
-    before = g_allocations.load();
+    const std::size_t before = g_allocations.load();
     EXPECT_TRUE(locator.locate(part, ws).empty());
     EXPECT_LE(g_allocations.load() - before, kLocateBudget)
         << "locate, " << count << " windows";
   }
+}
+
+TEST_P(AllocFreeScoringConfigs, OpeningAStreamDoesNotCompileAPlan) {
+#if defined(SCALOCATE_TEST_SANITIZED)
+  GTEST_SKIP() << kSanitized;
+#endif
+  // Streams score through the locator's one compiled classifier, so
+  // opening one allocates only its own segmenter, ring and handles.
+  const CoLocator locator = serving_stub(GetParam());
+  constexpr std::size_t kOpenBudget = 24;
+  ASSERT_GT(plan_compile_allocations(locator), kOpenBudget);
+
+  { const runtime::StreamingLocator warm(locator); }
+  std::size_t before = g_allocations.load();
+  { const runtime::StreamingLocator stream(locator); }
+  EXPECT_LE(g_allocations.load() - before, kOpenBudget) << "StreamingLocator";
+
+  runtime::EngineConfig config;
+  config.max_batch_windows = 32;
+  runtime::WindowBatcher batcher(locator, config);
+  const auto warm = batcher.open_stream();
+  before = g_allocations.load();
+  const auto stream = batcher.open_stream();
+  EXPECT_LE(g_allocations.load() - before, kOpenBudget)
+      << "batched open_stream";
 }
 
 INSTANTIATE_TEST_SUITE_P(

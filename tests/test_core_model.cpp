@@ -210,7 +210,8 @@ TEST(SlidingWindow, BatchSizeDoesNotChangeScores) {
   const auto trace = random_trace(1800, 17);
   SlidingWindowClassifier c(*net, 192, 48);
   const std::size_t n = c.num_windows(trace.size());
-  const auto whole = c.classify(trace).scores;
+  nn::Workspace whole_ws;
+  const auto whole = c.classify(trace, whole_ws).scores;
   ASSERT_EQ(whole.size(), n);
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
     nn::Workspace ws;

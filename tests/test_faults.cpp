@@ -87,6 +87,38 @@ class FaultsSuite : public ::testing::Test {
 
   static std::span<const float> eval_span() { return eval_->samples; }
 
+  /// A stream over the suite's model on one of the two stream paths: the
+  /// self-scoring stream (batched = false) or one scored through the
+  /// model's WindowBatcher. Both run the same ingest check; the engine's
+  /// registry counts what it finds.
+  struct PathStream {
+    explicit PathStream(bool batched, runtime::StreamingConfig config = {})
+        : engine(engine_config(batched, registry)),
+          stream(open(engine, config)) {}
+
+    std::uint64_t corrupt_samples() {
+      return registry.counter("stream.camellia.corrupt_samples").value();
+    }
+
+    static api::EngineConfig engine_config(bool batched,
+                                           obs::Registry& registry) {
+      api::EngineConfig ec;
+      ec.workers = 1;
+      ec.max_batch_windows = batched ? 32 : 0;
+      ec.registry = &registry;
+      return ec;
+    }
+    static api::Stream open(api::Engine& engine,
+                            runtime::StreamingConfig config) {
+      engine.attach_model(*locator_);
+      return engine.open_session().open_stream(config);
+    }
+
+    obs::Registry registry;
+    api::Engine engine;
+    api::Stream stream;
+  };
+
   static crypto::Key16* key_;
   static trace::ScenarioConfig* sc_;
   static core::CoLocator* locator_;
@@ -331,81 +363,100 @@ TEST_F(FaultsSuite, ShedByDeadlineEvictsTheLeastViableQueuedJob) {
 
 TEST_F(FaultsSuite, PoisonedChunkIsRejectedAndTheStreamRecovers) {
   auto& injector = runtime::FaultInjector::instance();
-  runtime::FaultSpec spec;
-  spec.action = runtime::FaultSpec::Action::kPoison;
-  spec.skip = 1;   // first chunk clean,
-  spec.times = 1;  // second chunk poisoned, rest clean
-  injector.arm("stream.feed", spec);
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched stream" : "self-scoring stream");
+    injector.reset();
+    runtime::FaultSpec spec;
+    spec.action = runtime::FaultSpec::Action::kPoison;
+    spec.skip = 1;   // first chunk clean,
+    spec.times = 1;  // second chunk poisoned, rest clean
+    injector.arm("stream.feed", spec);
 
-  const auto samples = eval_span();
-  const std::size_t chunk = 4096;
-  runtime::StreamingLocator stream(*locator_);  // nan_policy = kReject
+    const auto samples = eval_span();
+    const std::size_t chunk = 4096;
+    PathStream path(batched);  // nan_policy = kReject
+    ASSERT_EQ(path.stream.batched(), batched);
 
-  std::vector<std::size_t> starts;
-  std::vector<float> accepted;  // what the stream actually ingested
-  std::size_t rejected_chunks = 0, fed = 0;
-  for (std::size_t off = 0; off < samples.size(); off += chunk) {
-    const auto piece = samples.subspan(off, std::min(chunk, samples.size() - off));
-    try {
-      for (const auto& d : stream.feed(piece)) starts.push_back(d.start);
-      accepted.insert(accepted.end(), piece.begin(), piece.end());
-    } catch (const CorruptSignal&) {
-      ++rejected_chunks;  // typed, loud, and the stream stays usable
+    std::vector<std::size_t> starts;
+    std::vector<float> accepted;  // what the stream actually ingested
+    std::size_t rejected_chunks = 0, fed = 0;
+    for (std::size_t off = 0; off < samples.size(); off += chunk) {
+      const auto piece =
+          samples.subspan(off, std::min(chunk, samples.size() - off));
+      try {
+        for (const auto& d : path.stream.feed(piece)) starts.push_back(d.start);
+        accepted.insert(accepted.end(), piece.begin(), piece.end());
+      } catch (const CorruptSignal&) {
+        ++rejected_chunks;  // typed, loud, and the stream stays usable
+      }
+      ++fed;
     }
-    ++fed;
-  }
-  for (const auto& d : stream.finish()) starts.push_back(d.start);
+    for (const auto& d : path.stream.finish()) starts.push_back(d.start);
 
-  EXPECT_EQ(rejected_chunks, 1u);
-  EXPECT_EQ(injector.injected("stream.feed"), 1u);
-  EXPECT_EQ(injector.hits("stream.feed"), fed);
-  EXPECT_GT(stream.corrupt_samples(), 0u);
-  // Parity over the accepted samples: the rejected chunk is simply not part
-  // of the stream, everything the stream DID accept scores bit-identical.
-  EXPECT_EQ(starts, locator_->locate(accepted));
+    EXPECT_EQ(rejected_chunks, 1u);
+    EXPECT_EQ(injector.injected("stream.feed"), 1u);
+    EXPECT_EQ(injector.hits("stream.feed"), fed);
+    EXPECT_GT(path.corrupt_samples(), 0u);
+    EXPECT_FALSE(starts.empty());
+    // Parity over the accepted samples: the rejected chunk is simply not
+    // part of the stream, everything the stream DID accept scores
+    // bit-identical.
+    EXPECT_EQ(starts, locator_->locate(accepted));
+  }
 }
 
 TEST_F(FaultsSuite, SanitizePolicyScrubsPoisonAndKeepsParity) {
   auto& injector = runtime::FaultInjector::instance();
-  runtime::FaultSpec spec;
-  spec.action = runtime::FaultSpec::Action::kPoison;
-  spec.times = 1;  // first chunk poisoned
-  spec.poison_stride = 64;
-  injector.arm("stream.feed", spec);
-
   const auto samples = eval_span();
   const std::size_t chunk = 4096;
-  runtime::StreamingConfig cfg;
-  cfg.nan_policy = runtime::StreamingConfig::NanPolicy::kSanitize;
-  runtime::StreamingLocator stream(*locator_, cfg);
-
-  std::vector<std::size_t> starts;
-  for (std::size_t off = 0; off < samples.size(); off += chunk) {
-    const auto piece = samples.subspan(off, std::min(chunk, samples.size() - off));
-    for (const auto& d : stream.feed(piece)) starts.push_back(d.start);
-  }
-  for (const auto& d : stream.finish()) starts.push_back(d.start);
-
   // Reference: offline locate over the stream as sanitized — the poisoned
   // samples (every 64th of the first chunk) zeroed.
   std::vector<float> sanitized(samples.begin(), samples.end());
   for (std::size_t i = 0; i < chunk && i < sanitized.size(); i += 64)
     sanitized[i] = 0.0f;
-  EXPECT_EQ(starts, locator_->locate(sanitized));
-  EXPECT_EQ(stream.corrupt_samples(), (chunk + 63) / 64);
-  EXPECT_EQ(injector.injected("stream.feed"), 1u);
+  const auto expected = locator_->locate(sanitized);
+
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched stream" : "self-scoring stream");
+    injector.reset();
+    runtime::FaultSpec spec;
+    spec.action = runtime::FaultSpec::Action::kPoison;
+    spec.times = 1;  // first chunk poisoned
+    spec.poison_stride = 64;
+    injector.arm("stream.feed", spec);
+
+    runtime::StreamingConfig cfg;
+    cfg.nan_policy = runtime::StreamingConfig::NanPolicy::kSanitize;
+    PathStream path(batched, cfg);
+
+    std::vector<std::size_t> starts;
+    for (std::size_t off = 0; off < samples.size(); off += chunk) {
+      const auto piece =
+          samples.subspan(off, std::min(chunk, samples.size() - off));
+      for (const auto& d : path.stream.feed(piece)) starts.push_back(d.start);
+    }
+    for (const auto& d : path.stream.finish()) starts.push_back(d.start);
+
+    EXPECT_FALSE(starts.empty());
+    EXPECT_EQ(starts, expected);
+    EXPECT_EQ(path.corrupt_samples(), (chunk + 63) / 64);
+    EXPECT_EQ(injector.injected("stream.feed"), 1u);
+  }
 }
 
 TEST_F(FaultsSuite, RealNanInputIsCaughtWithoutTheInjector) {
   // The validation is not an injector artifact: a genuinely corrupt chunk
   // (dying probe) hits the same typed error with nothing armed.
-  runtime::StreamingLocator stream(*locator_);
   std::vector<float> bad(1024, 0.5f);
   bad[17] = std::numeric_limits<float>::quiet_NaN();
   bad[900] = std::numeric_limits<float>::infinity();
-  EXPECT_THROW(stream.feed(bad), CorruptSignal);
-  EXPECT_EQ(stream.corrupt_samples(), 2u);
-  EXPECT_EQ(stream.samples_consumed(), 0u);  // state untouched
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched stream" : "self-scoring stream");
+    PathStream path(batched);
+    EXPECT_THROW(path.stream.feed(bad), CorruptSignal);
+    EXPECT_EQ(path.corrupt_samples(), 2u);
+    EXPECT_EQ(path.stream.samples_consumed(), 0u);  // state untouched
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <limits>
 #include <memory>
 #include <random>
@@ -254,10 +255,10 @@ FleetModel* Fleet::camellia_ = nullptr;
 TEST_F(Fleet, SingleStreamParityAcrossChunkSizes) {
   // Small max_batch_windows forces many multi-flush ticks; every chunking
   // must still match offline locate bit for bit.
-  runtime::BatchConfig bc;
-  bc.max_batch_windows = 16;
-  bc.batch_linger = std::chrono::microseconds(100);
-  runtime::WindowBatcher batcher(*aes_->locator, bc);
+  runtime::EngineConfig ec;
+  ec.max_batch_windows = 16;
+  ec.batch_linger_us = 100;
+  runtime::WindowBatcher batcher(*aes_->locator, ec);
   const auto& samples = aes_->traces[1].samples;
   const auto& offline = aes_->offline[1];
   EXPECT_EQ(batched_starts(batcher, samples, 48), offline);
@@ -271,10 +272,10 @@ TEST_F(Fleet, InterleavedSessionsBitIdenticalToSequential) {
   // session's detections must equal its offline reference — i.e. the
   // batch composition (which mixes windows of all six streams into shared
   // GEMMs) must not leak between sessions.
-  runtime::BatchConfig bc;
-  bc.max_batch_windows = 32;
-  bc.batch_linger = std::chrono::microseconds(200);
-  runtime::WindowBatcher batcher(*aes_->locator, bc);
+  runtime::EngineConfig ec;
+  ec.max_batch_windows = 32;
+  ec.batch_linger_us = 200;
+  runtime::WindowBatcher batcher(*aes_->locator, ec);
 
   constexpr std::size_t kSessions = 6;
   const std::size_t chunks[kSessions] = {97, 256, 513, 1024, 2048, 331};
@@ -309,20 +310,24 @@ TEST_F(Fleet, InterleavedSessionsBitIdenticalToSequential) {
 
 TEST_F(Fleet, ConcurrentProducersBitIdentical) {
   // Each stream fed from its own thread: exercises the wait-free SPSC
-  // hand-off and scheduler-side demux under real concurrency.
-  runtime::BatchConfig bc;
-  bc.max_batch_windows = 48;
-  bc.ingest_capacity = 1024;  // small ring: backpressure spins exercised
-  runtime::WindowBatcher batcher(*aes_->locator, bc);
+  // hand-off and scheduler-side demux under real concurrency. Producer 0
+  // feeds chunks longer than the ingest ring, so it must fill the ring and
+  // spin until the scheduler drains (bounded-memory backpressure).
+  runtime::EngineConfig ec;
+  ec.max_batch_windows = 48;
+  runtime::WindowBatcher batcher(*aes_->locator, ec);
+  constexpr std::size_t kRing = runtime::BatchedStream::kIngestCapacity;
+  ASSERT_GT(aes_->traces[0].samples.size(), 2 * kRing);
 
   constexpr std::size_t kThreads = 4;
   std::vector<std::vector<std::size_t>> got(kThreads);
+  std::vector<std::size_t> watermark(kThreads);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const auto& samples = aes_->traces[t % 3].samples;
       auto stream = batcher.open_stream({});
-      const std::size_t chunk = 128 + 64 * t;
+      const std::size_t chunk = t == 0 ? 2 * kRing + 123 : 128 + 64 * t;
       std::vector<runtime::Detection> dets;
       for (std::size_t off = 0; off < samples.size(); off += chunk) {
         const std::size_t n = std::min(chunk, samples.size() - off);
@@ -331,11 +336,52 @@ TEST_F(Fleet, ConcurrentProducersBitIdentical) {
       }
       for (const auto& d : stream->finish()) dets.push_back(d);
       for (const auto& d : dets) got[t].push_back(d.start);
+      watermark[t] = stream->ingest_high_watermark();
     });
   }
   for (auto& t : threads) t.join();
   for (std::size_t t = 0; t < kThreads; ++t)
     EXPECT_EQ(got[t], aes_->offline[t % 3]) << "producer " << t;
+  EXPECT_EQ(watermark[0], kRing);
+}
+
+TEST_F(Fleet, JobsAndBatchedStreamsShareOneModel) {
+  // Whole-trace jobs on the pool workers, two producer threads feeding
+  // batched streams and the batcher's scheduler thread all score through
+  // the one classifier the model compiled, at the same time. Every result
+  // must still equal offline locate.
+  api::EngineConfig ec;
+  ec.workers = 2;
+  ec.max_batch_windows = 32;
+  api::Engine engine(ec);
+  engine.attach_model(*aes_->locator);
+  auto session = engine.open_session();
+
+  constexpr std::size_t kProducers = 2;
+  std::vector<std::vector<std::size_t>> streamed(kProducers);
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      const auto& samples = aes_->traces[p + 1].samples;
+      auto stream = session.open_stream();
+      const std::size_t chunk = 300 + 200 * p;
+      for (std::size_t off = 0; off < samples.size(); off += chunk) {
+        const std::size_t n = std::min(chunk, samples.size() - off);
+        for (const auto& d :
+             stream.feed(std::span<const float>(samples).subspan(off, n)))
+          streamed[p].push_back(d.start);
+      }
+      for (const auto& d : stream.finish()) streamed[p].push_back(d.start);
+    });
+  }
+  std::vector<std::future<std::vector<std::size_t>>> jobs;
+  for (std::size_t j = 0; j < 6; ++j)
+    jobs.push_back(session.submit_view(aes_->traces[j % 3].samples));
+  for (auto& p : producers) p.join();
+  for (std::size_t j = 0; j < jobs.size(); ++j)
+    EXPECT_EQ(jobs[j].get(), aes_->offline[j % 3]) << "job " << j;
+  for (std::size_t p = 0; p < kProducers; ++p)
+    EXPECT_EQ(streamed[p], aes_->offline[p + 1]) << "stream " << p;
 }
 
 TEST_F(Fleet, EngineMixedCipherBatchedParity) {
@@ -436,9 +482,9 @@ TEST_F(Fleet, DefaultEngineKeepsLegacyPath) {
 
 TEST_F(Fleet, InjectedFaultFailsOneStreamNotBatchmates) {
   runtime::FaultInjector::instance().reset();
-  runtime::BatchConfig bc;
-  bc.max_batch_windows = 32;
-  runtime::WindowBatcher batcher(*aes_->locator, bc);
+  runtime::EngineConfig ec;
+  ec.max_batch_windows = 32;
+  runtime::WindowBatcher batcher(*aes_->locator, ec);
 
   constexpr std::size_t kStreams = 3;
   std::vector<std::shared_ptr<runtime::BatchedStream>> streams;
@@ -480,11 +526,11 @@ TEST_F(Fleet, LingerFlushesPartialBatch) {
   // A batch far below max_batch_windows must still flush once the linger
   // expires, without any further input.
   obs::Registry registry;
-  runtime::BatchConfig bc;
-  bc.max_batch_windows = 4096;  // never reached
-  bc.batch_linger = std::chrono::microseconds(500);
-  bc.registry = &registry;
-  runtime::WindowBatcher batcher(*aes_->locator, bc);
+  runtime::EngineConfig ec;
+  ec.max_batch_windows = 4096;  // never reached
+  ec.batch_linger_us = 500;
+  ec.registry = &registry;
+  runtime::WindowBatcher batcher(*aes_->locator, ec);
   auto stream = batcher.open_stream({});
 
   const auto& params = aes_->locator->config().params;
@@ -508,11 +554,11 @@ TEST_F(Fleet, LingerFlushesPartialBatch) {
 TEST_F(Fleet, FinishFlushesWithoutWaitingForLinger) {
   // A huge linger must not delay finish(): eof forces the flush.
   obs::Registry registry;
-  runtime::BatchConfig bc;
-  bc.max_batch_windows = 4096;
-  bc.batch_linger = std::chrono::seconds(30);
-  bc.registry = &registry;
-  runtime::WindowBatcher batcher(*aes_->locator, bc);
+  runtime::EngineConfig ec;
+  ec.max_batch_windows = 4096;
+  ec.batch_linger_us = 30000000;  // 30 s
+  ec.registry = &registry;
+  runtime::WindowBatcher batcher(*aes_->locator, ec);
 
   const auto& samples = aes_->traces[0].samples;
   const auto start = std::chrono::steady_clock::now();
@@ -527,9 +573,9 @@ TEST_F(Fleet, FinishFlushesWithoutWaitingForLinger) {
 }
 
 TEST_F(Fleet, BatchedStreamRejectsNaNAtIngest) {
-  runtime::BatchConfig bc;
-  bc.max_batch_windows = 32;
-  runtime::WindowBatcher batcher(*aes_->locator, bc);
+  runtime::EngineConfig ec;
+  ec.max_batch_windows = 32;
+  runtime::WindowBatcher batcher(*aes_->locator, ec);
   auto stream = batcher.open_stream({});  // default policy: kReject
 
   const auto& samples = aes_->traces[0].samples;

@@ -3,9 +3,7 @@
 // epochs so the test stays within CI budgets).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <limits>
 
 #include "core/locator.hpp"
@@ -97,9 +95,8 @@ TEST_F(PipelineIntegration, AlignmentProducesUsableSegments) {
 TEST_F(PipelineIntegration, DetailedOutputIsConsistent) {
   const auto eval = trace::acquire_eval_trace(*sc_, 6, *key_, false);
   const auto& params = locator_->config().params;
-  core::SlidingWindowClassifier classifier(locator_->model(), params.n_inf,
-                                           params.stride);
-  const auto swc = classifier.classify(eval.samples);
+  nn::Workspace ws;
+  const auto swc = locator_->classifier().classify(eval.samples, ws);
   auto seg = locator_->segmenter(std::numeric_limits<float>::quiet_NaN(),
                                  swc.scores);
   std::vector<core::Detection> found;
@@ -121,29 +118,6 @@ TEST_F(PipelineIntegration, DetailedOutputIsConsistent) {
   }
   EXPECT_EQ(starts, locator_->locate(eval.samples));
   EXPECT_EQ(seg.windows(), swc.scores.size());
-}
-
-TEST_F(PipelineIntegration, ModelSaveLoadKeepsPredictions) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "scalocate_locator.bin")
-          .string();
-  locator_->save_model(path);
-
-  core::LocatorConfig lc2 = locator_->config();
-  core::CoLocator clone(lc2);
-  clone.load_model(path);
-
-  const auto eval = trace::acquire_eval_trace(*sc_, 4, *key_, false);
-  core::SlidingWindowClassifier ca(locator_->model(), lc2.params.n_inf,
-                                   lc2.params.stride);
-  core::SlidingWindowClassifier cb(clone.model(), lc2.params.n_inf,
-                                   lc2.params.stride);
-  const auto sa = ca.classify(eval.samples);
-  const auto sb = cb.classify(eval.samples);
-  ASSERT_EQ(sa.scores.size(), sb.scores.size());
-  for (std::size_t i = 0; i < sa.scores.size(); ++i)
-    EXPECT_FLOAT_EQ(sa.scores[i], sb.scores[i]);
-  std::remove(path.c_str());
 }
 
 TEST_F(PipelineIntegration, CalibrationOffsetIsSmall) {
