@@ -20,8 +20,8 @@
 //
 // Curves emitted into BENCH_fleet.json:
 //   rows[]    throughput vs session count (legacy + batched + speedup)
-//   cores[]   batched throughput vs batch_intra_op_threads at a fixed
-//             session count
+//   cores[]   batched throughput vs EngineConfig::workers (the pool the
+//             batchers' tiles run on) at a fixed session count
 // plus the p99 emission lag (samples between stream head and detection
 // start at finalization) from the stream telemetry histogram, and each
 // row's full registry snapshot.
@@ -231,9 +231,9 @@ int main() {
                     : 0.0,
                 lr.wall_seconds, lr.parity_failures);
 
+    // Batched tiles run on the engine's pool: one worker per core.
     obs::Registry batched_reg;
     api::EngineConfig batched_cfg;
-    batched_cfg.workers = 1;
     batched_cfg.registry = &batched_reg;
     batched_cfg.max_batch_windows = 256;
     batched_cfg.batch_linger_us = 200;
@@ -263,20 +263,19 @@ int main() {
   // the largest-session-count ratio.
   json.kv("speedup_at_max_sessions", largest_speedup);
 
-  // -- throughput vs intra-op cores at a fixed session count --------------
+  // -- throughput vs pool workers at a fixed session count ---------------
   const std::size_t core_sessions = counts.front();
   json.key("cores").begin_array();
   std::printf("\ncores curve (batched, %zu sessions):\n", core_sessions);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    if (threads > hw && threads != 1) continue;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    if (workers > hw && workers != 1) continue;
     obs::Registry registry;
     api::EngineConfig cfg;
-    cfg.workers = 1;
+    cfg.workers = workers;
     cfg.registry = &registry;
     cfg.max_batch_windows = 256;
     cfg.batch_linger_us = 200;
-    cfg.batch_intra_op_threads = threads;
     api::Engine engine(cfg);
     engine.attach_model(aes.locator);
     engine.attach_model(camellia.locator);
@@ -284,7 +283,7 @@ int main() {
     r.p99_lag_samples = p99_lag(registry, "stream.aes.emission_lag_samples");
     parity_total += r.parity_failures;
     json.begin_object();
-    json.kv("batch_intra_op_threads", threads);
+    json.kv("workers", workers);
     json.kv("sessions", core_sessions);
     json.kv("wall_seconds", r.wall_seconds);
     json.kv("samples_per_s",
@@ -293,7 +292,7 @@ int main() {
                 : 0.0);
     json.kv("parity_failures", r.parity_failures);
     json.end_object();
-    std::printf("  %zu thread(s): %.0f samples/s (parity %zu)\n", threads,
+    std::printf("  %zu worker(s): %.0f samples/s (parity %zu)\n", workers,
                 r.wall_seconds > 0
                     ? static_cast<double>(r.samples) / r.wall_seconds
                     : 0.0,

@@ -114,7 +114,12 @@ Engine::Engine(EngineConfig config)
   if (config_.registry) pool_.attach_metrics(*config_.registry);
 }
 
-Engine::~Engine() = default;
+Engine::~Engine() {
+  // Entries a Stream still holds outlive the registry; their batchers
+  // score on pool_, so they stop before it goes.
+  for (const auto& weak : batched_)
+    if (const auto entry = weak.lock()) entry->batcher->stop();
+}
 
 crypto::CipherId Engine::register_entry(
     std::shared_ptr<detail::ModelEntry> entry) {
@@ -124,13 +129,17 @@ crypto::CipherId Engine::register_entry(
   if (entry->registry) entry->stream_prefix = "stream." + metric_model_name(cipher);
   if (config_.max_batch_windows > 0)
     entry->batcher = std::make_unique<runtime::WindowBatcher>(
-        *entry->locator, config_, "batch." + metric_model_name(cipher));
+        *entry->locator, pool_, config_, "batch." + metric_model_name(cipher));
   // A replaced entry may hold the last reference to a service with jobs
   // still in flight; its drain() must run after the registry lock is
   // released, or a hot-swap would stall every other Engine operation.
   std::shared_ptr<detail::ModelEntry> replaced;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (entry->batcher) {
+      std::erase_if(batched_, [](const auto& weak) { return weak.expired(); });
+      batched_.push_back(entry);
+    }
     auto& slot = registry_[cipher];
     replaced = std::move(slot);
     slot = std::move(entry);

@@ -16,9 +16,13 @@
 //
 // Lifetime: Sessions, Streams and Jobs hold shared ownership of their model
 // entry, so they stay valid even if the Engine replaces the model — but the
-// Engine itself (its pool) must outlive every Session/Job. All Session
-// methods are safe to call from multiple threads against one Engine;
-// a single Stream is single-threaded like the StreamingLocator it wraps.
+// Engine itself (its pool) must outlive every Session and Job, and a Stream
+// only works while its Engine lives: a batched Stream's windows score on
+// the pool, so ~Engine stops every batcher first, and a batched Stream
+// left open fails (its feed()/finish() throw) instead of touching a dead
+// pool. All Session methods are safe to call from multiple threads against
+// one Engine; a single Stream is single-threaded like the StreamingLocator
+// it wraps.
 #pragma once
 
 #include <deque>
@@ -224,7 +228,9 @@ class Session {
 class Engine {
  public:
   explicit Engine(EngineConfig config = {});
-  ~Engine();  ///< Drains every model's in-flight jobs.
+  /// Stops every model's batcher, replaced models' included (their open
+  /// Streams fail), then drains every model's in-flight jobs.
+  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -269,6 +275,9 @@ class Engine {
                               ///< (services) drain against it on teardown
   mutable std::mutex mutex_;
   std::map<crypto::CipherId, std::shared_ptr<detail::ModelEntry>> registry_;
+  /// Every entry with a batcher that may still be alive, replaced ones
+  /// too (a Stream keeps its entry): ~Engine stops their batchers.
+  std::vector<std::weak_ptr<detail::ModelEntry>> batched_;
 };
 
 }  // namespace scalocate::api

@@ -20,10 +20,10 @@
 //     hardware concurrency). This is what standalone callers — the
 //     trainer, offline CoLocator::locate, the benches — run with.
 //   - intra_op_threads() / set_intra_op_threads() scope a per-thread
-//     budget: runtime::LocatorService pins it to 1 around each whole-trace
-//     job (a saturated service pool already uses every core), and
-//     runtime::WindowBatcher sets it around each batch flush from
-//     EngineConfig::batch_intra_op_threads.
+//     budget: runtime::LocatorService jobs and runtime::WindowBatcher
+//     tile tasks pin it to 1 (a saturated engine pool already uses every
+//     core), so the serving plane spreads work over its own pool instead
+//     of forking here.
 //
 // Nested parallel regions never fan out twice: a chunk that itself calls
 // parallel_for runs its chunks inline, so compute-pool workers cannot

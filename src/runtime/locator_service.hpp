@@ -87,8 +87,9 @@ struct SubmitOptions {
 /// and, per model, the LocatorService's.
 struct EngineConfig {
   /// Worker threads of the shared pool. 0 = hardware concurrency. Read by
-  /// the pool's owner (api::Engine); a LocatorService runs on the pool it
-  /// is handed.
+  /// the pool's owner (api::Engine); a LocatorService and a WindowBatcher
+  /// run on the pool they are handed, so this is the serving plane's one
+  /// width: whole-trace jobs and batch tiles share these threads.
   std::size_t workers = 0;
   /// Per-model bound on in-flight whole-trace jobs. What happens at the
   /// bound is `admission`'s call (default: submit blocks — backpressure).
@@ -111,7 +112,8 @@ struct EngineConfig {
   /// model gets a runtime::WindowBatcher, and streams opened through
   /// Sessions feed a wait-free ingest ring instead; the batcher coalesces
   /// up to this many ready windows across ALL of the model's sessions into
-  /// one score_window_batch call per flush. Detections are bit-identical
+  /// one flush, whose 32-window tiles run as tasks on the shared pool
+  /// (`workers` is the batchers' width too). Detections are bit-identical
   /// either way (batch composition cannot change a window's score), so the
   /// knob trades nothing but latency shape for fleet throughput.
   std::size_t max_batch_windows = 0;
@@ -119,13 +121,6 @@ struct EngineConfig {
   /// is flushed anyway — the added-latency bound a quiet fleet pays.
   /// Ignored when batching is off.
   std::uint64_t batch_linger_us = 200;
-  /// Tile workers per batch flush: each flush scores its windows as
-  /// 32-window tiles on up to this many compute-pool threads (see
-  /// core/sliding_window.hpp). 0 (default) = process default
-  /// (SCALOCATE_THREADS): unlike per-job scoring, the batcher IS the
-  /// model's shared compute path, so it defaults wide. Ignored when
-  /// batching is off.
-  std::size_t batch_intra_op_threads = 0;
   /// Telemetry sink (must outlive the Engine). When set, every registered
   /// model gets per-model instruments — `engine.<model>.requests`,
   /// `.completed`, `.cancelled`, `.backpressure_blocks`, `.rejected`,
@@ -133,7 +128,8 @@ struct EngineConfig {
   /// `.queue_wait_ns`, `.latency_ns` (see ServiceMetrics) — and every
   /// stream opened through a Session gets `stream.<model>.samples_fed` /
   /// `.windows_scored` / `.detections` / `.emission_lag_samples`; the
-  /// shared pool reports `pool.queue_depth` and `pool.tasks`; and with
+  /// shared pool reports `pool.queue_depth` and `pool.tasks` (jobs and
+  /// batch tiles alike); and with
   /// batching on, each model's batcher reports `batch.<model>.*` (see
   /// runtime::BatchMetrics). Null = telemetry off (zero overhead and no
   /// behavior change either way). Pass &obs::Registry::global() to publish

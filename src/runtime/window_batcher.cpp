@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "nn/kernels/gemm.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "runtime/fault_injector.hpp"
 
@@ -105,19 +106,22 @@ void BatchedStream::rethrow_error() {
 // WindowBatcher
 // ---------------------------------------------------------------------------
 
-WindowBatcher::WindowBatcher(const core::CoLocator& locator,
+WindowBatcher::WindowBatcher(const core::CoLocator& locator, ThreadPool& pool,
                              const EngineConfig& config,
                              std::string metric_prefix)
-    : locator_(locator), config_(config) {
+    : locator_(locator), pool_(pool), config_(config) {
   locator_.classifier();  // throws when untrained
   detail::require(config_.max_batch_windows > 0,
                   "WindowBatcher: max_batch_windows must be > 0");
+  ws_.lane(pool_.worker_count() - 1);  // grown once, before any tile runs
   if (config_.registry)
     metrics_ = BatchMetrics::resolve(*config_.registry, metric_prefix);
   scheduler_ = std::thread([this] { run(); });
 }
 
-WindowBatcher::~WindowBatcher() {
+WindowBatcher::~WindowBatcher() { stop(); }
+
+void WindowBatcher::stop() {
   stop_.store(true, std::memory_order_relaxed);
   notify();
   if (scheduler_.joinable()) scheduler_.join();
@@ -128,7 +132,11 @@ std::shared_ptr<BatchedStream> WindowBatcher::open_stream(
   auto stream = std::shared_ptr<BatchedStream>(
       new BatchedStream(*this, locator_, config));
   {
+    // Checked under the lock the scheduler's final fail_all() takes, so a
+    // stream is either refused here or failed there, never left hanging.
     std::lock_guard<std::mutex> lock(streams_mutex_);
+    detail::require(!stop_.load(std::memory_order_relaxed),
+                    "WindowBatcher: open_stream after stop");
     streams_.push_back(stream);
   }
   if (metrics_.enabled()) metrics_.sessions->add();
@@ -200,7 +208,7 @@ void WindowBatcher::run() {
   } catch (...) {
   }
   fail_all(std::make_exception_ptr(
-      Error("WindowBatcher destroyed while streams were still open")));
+      Error("WindowBatcher stopped while streams were still open")));
 }
 
 void WindowBatcher::fail_all(std::exception_ptr error) {
@@ -218,6 +226,32 @@ void WindowBatcher::fail_all(std::exception_ptr error) {
     }
     if (!terminal) fail_stream(*s, error);
   }
+}
+
+void WindowBatcher::score_staged(std::size_t total) {
+  constexpr std::size_t kTile = core::SlidingWindowClassifier::kScoreTile;
+  const core::SlidingWindowClassifier& classifier = locator_.classifier();
+  const nn::kernels::detail::Isa isa = nn::kernels::detail::active_isa();
+  tiles_.clear();
+  std::exception_ptr post_error;
+  try {
+    for (std::size_t first = 0; first < total; first += kTile)
+      tiles_.push_back(pool_.submit([&, first](std::size_t worker) {
+        // The scheduler's kernel tier, one core per tile.
+        const nn::kernels::detail::IsaCapGuard cap(isa);
+        const nn::kernels::IntraOpGuard intra(1);
+        classifier.score_window_batch(
+            std::min(kTile, total - first),
+            [&](std::size_t row) { return rows_[first + row]; },
+            scores_.data() + first, ws_.lane(worker));
+      }));
+  } catch (...) {
+    post_error = std::current_exception();  // e.g. allocation failure
+  }
+  // No tile may outlive this frame: wait for all before any rethrow.
+  for (auto& tile : tiles_) tile.wait();
+  if (post_error) std::rethrow_exception(post_error);
+  for (auto& tile : tiles_) tile.get();
 }
 
 bool WindowBatcher::tick() {
@@ -315,12 +349,7 @@ bool WindowBatcher::tick() {
       for (std::size_t i = 0; i < st.count; ++i)
         rows_.push_back(st.stream->core_.ready_window(i));
     scores_.resize(total);
-    {
-      nn::kernels::IntraOpGuard intra(config_.batch_intra_op_threads);
-      locator_.classifier().score_window_batch(
-          total, [&](std::size_t row) { return rows_[row]; }, scores_.data(),
-          ws_);
-    }
+    score_staged(total);
     std::size_t offset = 0;
     for (const Staged& st : staged_) {
       dets_.clear();

@@ -6,16 +6,17 @@
 // batch-1 efficiency. The batcher turns window scoring into a shared,
 // batched resource:
 //
-//   session threads        scheduler thread             compute pool
-//   ---------------        ----------------             ------------
-//   feed() -> SpscRing --> drain rings into each        one
-//   (wait-free ingest,     stream's scoring core,       score_window_batch
-//    never takes a lock)   stage ready windows     -->  per flush, under
-//                          across ALL sessions          IntraOpGuard: up to
-//                     <--  demux scores per stream,     intra_op_threads
-//   poll()/finish()        advance each pipeline,       tile workers, each
-//                          deliver detections           scoring whole
-//                                                       32-window tiles
+//   session threads        scheduler thread             engine pool
+//   ---------------        ----------------             -----------
+//   feed() -> SpscRing --> drain rings into each        one task per
+//   (wait-free ingest,     stream's scoring core,       32-window tile,
+//    never takes a lock)   stage ready windows     -->  queued FIFO with
+//                          across ALL sessions,         whole-trace jobs:
+//                          post the flush's tiles,      each runs the whole
+//                          wait on a latch              network in the
+//                     <--  demux scores per stream,     worker's workspace
+//   poll()/finish()        advance each pipeline,       lane, intra-op
+//                          deliver detections           budget 1
 //
 // Every flush scores through the model's one compiled classifier
 // (CoLocator::classifier(), fetched per flush because restore_calibration
@@ -23,12 +24,12 @@
 // its streams' scoring cores, so whole-trace jobs, self-scoring streams
 // and the batcher of one model share one plan. The batcher's settings are
 // the batching fields of the engine's EngineConfig (max_batch_windows,
-// batch_linger_us, batch_intra_op_threads, registry).
+// batch_linger_us, registry).
 //
-// A flush forks once: its tile workers each run complete forward passes
-// (standardize, every conv block, GAP and the FC head) in their own
-// workspace lane, instead of forking and joining every conv layer while
-// the rest of the network runs serially on the scheduler thread.
+// Every flush runs on the engine's ThreadPool, one task per tile: the
+// batchers of every model and the whole-trace jobs share its `workers`
+// threads through one FIFO queue, so the fleet plane has one executor and
+// one width. The scheduler thread only stages, waits and demuxes.
 //
 // Flush policy: a staged batch is scored when it reaches
 // `max_batch_windows` (full), when a stream that signalled end-of-stream
@@ -56,15 +57,18 @@
 // poll()/finish() take a short per-stream mutex to collect results — the
 // cold path; samples never cross it. One thread per stream on the producer
 // side (the SPSC contract); different streams may be fed from different
-// threads concurrently. The batcher must outlive its streams' use: the
-// api::Engine guarantees this by owning the batcher inside the model entry
-// every api::Stream keeps alive.
+// threads concurrently. The batcher must outlive its streams' use, and
+// stop() must run before its pool goes: the api::Engine owns the batcher
+// inside the model entry every api::Stream keeps alive, and stops every
+// batcher still alive before it destroys its pool, so a Stream that
+// outlives its Engine fails instead of scoring on a dead pool.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -77,6 +81,7 @@
 #include "runtime/locator_service.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "runtime/streaming_locator.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace scalocate::runtime {
 
@@ -183,15 +188,16 @@ class WindowBatcher {
  public:
   /// `locator` must be trained and outlive the batcher; flushes score
   /// through its compiled classifier (fetched on each flush, never
-  /// recompiled). Reads the batching fields of `config`:
-  /// max_batch_windows (must be > 0 here), batch_linger_us,
-  /// batch_intra_op_threads and registry. `metric_prefix` names the
-  /// batcher's instruments in config.registry. Spawns the scheduler thread
+  /// recompiled) on `pool`, which must outlive the batcher too (api::Engine
+  /// hands every model's batcher its one shared pool). Reads the batching
+  /// fields of `config`: max_batch_windows (must be > 0 here),
+  /// batch_linger_us and registry. `metric_prefix` names the batcher's
+  /// instruments in config.registry. Spawns the scheduler thread
   /// immediately.
-  WindowBatcher(const core::CoLocator& locator, const EngineConfig& config,
+  WindowBatcher(const core::CoLocator& locator, ThreadPool& pool,
+                const EngineConfig& config,
                 std::string metric_prefix = "batch");
-  /// Fails any stream still attached (a blocked finish() wakes with the
-  /// error), then joins the scheduler thread.
+  /// stop().
   ~WindowBatcher();
 
   WindowBatcher(const WindowBatcher&) = delete;
@@ -200,7 +206,14 @@ class WindowBatcher {
   /// Opens a stream whose windows are scored through the shared batch.
   /// `config` carries the same per-stream knobs as the self-scoring path
   /// (NanPolicy, threshold override, telemetry wiring).
+  /// Throws once the batcher is stopped.
   std::shared_ptr<BatchedStream> open_stream(StreamingConfig config = {});
+
+  /// Completes any finish() already signalled, fails every stream still
+  /// attached (a blocked finish() wakes with the error; later feeds throw)
+  /// and joins the scheduler thread, so the pool is never touched again.
+  /// Idempotent; the owner of the pool calls it before the pool goes.
+  void stop();
 
   const BatchMetrics& metrics() const { return metrics_; }
   std::size_t max_batch_windows() const { return config_.max_batch_windows; }
@@ -225,8 +238,14 @@ class WindowBatcher {
   /// death, batcher teardown with open streams).
   void fail_all(std::exception_ptr error);
   void deliver(BatchedStream& stream, std::vector<Detection>& detections);
+  /// Scores rows_[0, total) into scores_ as one pool task per 32-window
+  /// tile and waits for all of them. Rethrows the first tile's error once
+  /// every posted tile has finished.
+  void score_staged(std::size_t total);
 
   const core::CoLocator& locator_;
+  ThreadPool& pool_;
+  /// Scoring scratch: lane w for the tiles pool worker w runs.
   nn::Workspace ws_;
   EngineConfig config_;
   BatchMetrics metrics_;
@@ -248,6 +267,7 @@ class WindowBatcher {
   std::vector<Staged> staged_;
   std::vector<std::span<const float>> rows_;
   std::vector<float> scores_;
+  std::vector<std::future<void>> tiles_;
   std::vector<Detection> dets_;
   std::chrono::steady_clock::time_point pending_since_{};
   bool linger_armed_ = false;

@@ -185,7 +185,8 @@ TEST_P(AllocFreeScoringConfigs, OpeningAStreamDoesNotCompileAPlan) {
 
   runtime::EngineConfig config;
   config.max_batch_windows = 32;
-  runtime::WindowBatcher batcher(locator, config);
+  runtime::ThreadPool pool(1);
+  runtime::WindowBatcher batcher(locator, pool, config);
   const auto warm = batcher.open_stream();
   before = g_allocations.load();
   const auto stream = batcher.open_stream();

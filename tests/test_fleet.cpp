@@ -15,6 +15,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <thread>
@@ -239,6 +240,10 @@ class Fleet : public ::testing::Test {
     return starts;
   }
 
+  /// The pool the direct WindowBatcher tests score on (an Engine hands
+  /// its batchers its own).
+  runtime::ThreadPool pool_{2};
+
   static crypto::Key16* key_;
   static FleetModel* aes_;
   static FleetModel* camellia_;
@@ -258,7 +263,7 @@ TEST_F(Fleet, SingleStreamParityAcrossChunkSizes) {
   runtime::EngineConfig ec;
   ec.max_batch_windows = 16;
   ec.batch_linger_us = 100;
-  runtime::WindowBatcher batcher(*aes_->locator, ec);
+  runtime::WindowBatcher batcher(*aes_->locator, pool_, ec);
   const auto& samples = aes_->traces[1].samples;
   const auto& offline = aes_->offline[1];
   EXPECT_EQ(batched_starts(batcher, samples, 48), offline);
@@ -275,7 +280,7 @@ TEST_F(Fleet, InterleavedSessionsBitIdenticalToSequential) {
   runtime::EngineConfig ec;
   ec.max_batch_windows = 32;
   ec.batch_linger_us = 200;
-  runtime::WindowBatcher batcher(*aes_->locator, ec);
+  runtime::WindowBatcher batcher(*aes_->locator, pool_, ec);
 
   constexpr std::size_t kSessions = 6;
   const std::size_t chunks[kSessions] = {97, 256, 513, 1024, 2048, 331};
@@ -315,7 +320,7 @@ TEST_F(Fleet, ConcurrentProducersBitIdentical) {
   // spin until the scheduler drains (bounded-memory backpressure).
   runtime::EngineConfig ec;
   ec.max_batch_windows = 48;
-  runtime::WindowBatcher batcher(*aes_->locator, ec);
+  runtime::WindowBatcher batcher(*aes_->locator, pool_, ec);
   constexpr std::size_t kRing = runtime::BatchedStream::kIngestCapacity;
   ASSERT_GT(aes_->traces[0].samples.size(), 2 * kRing);
 
@@ -382,6 +387,122 @@ TEST_F(Fleet, JobsAndBatchedStreamsShareOneModel) {
     EXPECT_EQ(jobs[j].get(), aes_->offline[j % 3]) << "job " << j;
   for (std::size_t p = 0; p < kProducers; ++p)
     EXPECT_EQ(streamed[p], aes_->offline[p + 1]) << "stream " << p;
+}
+
+TEST_F(Fleet, BatchedParityAcrossWorkerCounts) {
+  // A flush runs as pool tasks, one per 32-window tile, next to
+  // the whole-trace jobs. Whatever the pool's width, every stream must
+  // equal offline locate, and the tiles must really reach the pool.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    obs::Registry registry;
+    api::EngineConfig ec;
+    ec.workers = workers;
+    ec.max_batch_windows = 256;
+    ec.batch_linger_us = 2000;
+    ec.registry = &registry;
+    api::Engine engine(ec);
+    engine.attach_model(*aes_->locator);
+    auto session = engine.open_session();
+
+    constexpr std::size_t kSessions = 4;
+    constexpr std::size_t kChunk = runtime::BatchedStream::kIngestCapacity;
+    std::vector<api::Stream> streams;
+    for (std::size_t s = 0; s < kSessions; ++s)
+      streams.push_back(session.open_stream());
+    auto job = session.submit_view(aes_->traces[0].samples);
+
+    std::vector<std::vector<std::size_t>> got(kSessions);
+    std::vector<std::size_t> offsets(kSessions, 0);
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (std::size_t s = 0; s < kSessions; ++s) {
+        const auto& samples = aes_->traces[s % 3].samples;
+        if (offsets[s] >= samples.size()) continue;
+        const std::size_t n = std::min(kChunk, samples.size() - offsets[s]);
+        for (const auto& d : streams[s].feed(
+                 std::span<const float>(samples).subspan(offsets[s], n)))
+          got[s].push_back(d.start);
+        offsets[s] += n;
+        progress = true;
+      }
+    }
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      for (const auto& d : streams[s].finish()) got[s].push_back(d.start);
+      EXPECT_FALSE(got[s].empty()) << workers << " workers, session " << s;
+      EXPECT_EQ(got[s], aes_->offline[s % 3])
+          << workers << " workers, session " << s;
+    }
+    EXPECT_EQ(job.get(), aes_->offline[0]) << workers << " workers";
+    session.drain();
+
+    EXPECT_GT(registry.histogram("batch.aes.occupancy_windows").snapshot().max,
+              core::SlidingWindowClassifier::kScoreTile)
+        << workers << " workers: no flush held two tiles";
+    EXPECT_GT(registry.counter("pool.tasks").value(),
+              registry.counter("engine.aes.completed").value())
+        << workers << " workers: no tile ran on the pool";
+  }
+}
+
+TEST_F(Fleet, BatchedFinishCompletesBehindAJob) {
+  // One worker, held by a whole-trace job: the stream's tiles queue behind
+  // it in the pool's FIFO, and finish() still returns every detection.
+  runtime::FaultInjector::instance().reset();
+  api::EngineConfig ec;
+  ec.workers = 1;
+  ec.max_batch_windows = 256;
+  api::Engine engine(ec);
+  engine.attach_model(*aes_->locator);
+  auto session = engine.open_session();
+
+  runtime::FaultSpec stall;
+  stall.action = runtime::FaultSpec::Action::kStall;
+  stall.stall = std::chrono::milliseconds(300);
+  stall.times = 1;
+  runtime::FaultInjector::instance().arm("engine.aes.job", stall);
+  auto job = session.submit_view(aes_->traces[1].samples);
+  while (runtime::FaultInjector::instance().injected("engine.aes.job") == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(job.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+
+  auto stream = session.open_stream();
+  const auto& samples = aes_->traces[2].samples;
+  std::vector<std::size_t> got;
+  for (const auto& d : stream.feed(samples)) got.push_back(d.start);
+  for (const auto& d : stream.finish()) got.push_back(d.start);
+  EXPECT_FALSE(got.empty());
+  EXPECT_EQ(got, aes_->offline[2]);
+  EXPECT_EQ(job.get(), aes_->offline[1]);
+  runtime::FaultInjector::instance().reset();
+}
+
+TEST_F(Fleet, BatchedStreamOutlivingItsEngineFails) {
+  // A batched Stream keeps its model entry, batcher included, but the
+  // batcher scores on the Engine's pool: when the Engine goes, it stops
+  // every batcher it made (a replaced model's too), and the Streams left
+  // open fail instead of posting tiles to a destroyed pool.
+  const auto& samples = aes_->traces[0].samples;
+  const std::size_t half = samples.size() / 2;
+  std::optional<api::Stream> replaced;
+  std::optional<api::Stream> current;
+  {
+    api::EngineConfig ec;
+    ec.workers = 2;
+    ec.max_batch_windows = 256;
+    api::Engine engine(ec);
+    engine.attach_model(*aes_->locator);
+    replaced.emplace(engine.open_session().open_stream());
+    engine.attach_model(*aes_->locator);  // hot-swap: a new entry
+    current.emplace(engine.open_session().open_stream());
+    for (api::Stream* s : {&*replaced, &*current})
+      s->feed(std::span<const float>(samples).first(half));
+  }
+  for (api::Stream* s : {&*replaced, &*current}) {
+    EXPECT_THROW(s->feed(std::span<const float>(samples).subspan(half)),
+                 Error);
+    EXPECT_THROW(s->finish(), Error);
+  }
 }
 
 TEST_F(Fleet, EngineMixedCipherBatchedParity) {
@@ -484,7 +605,7 @@ TEST_F(Fleet, InjectedFaultFailsOneStreamNotBatchmates) {
   runtime::FaultInjector::instance().reset();
   runtime::EngineConfig ec;
   ec.max_batch_windows = 32;
-  runtime::WindowBatcher batcher(*aes_->locator, ec);
+  runtime::WindowBatcher batcher(*aes_->locator, pool_, ec);
 
   constexpr std::size_t kStreams = 3;
   std::vector<std::shared_ptr<runtime::BatchedStream>> streams;
@@ -530,7 +651,7 @@ TEST_F(Fleet, LingerFlushesPartialBatch) {
   ec.max_batch_windows = 4096;  // never reached
   ec.batch_linger_us = 500;
   ec.registry = &registry;
-  runtime::WindowBatcher batcher(*aes_->locator, ec);
+  runtime::WindowBatcher batcher(*aes_->locator, pool_, ec);
   auto stream = batcher.open_stream({});
 
   const auto& params = aes_->locator->config().params;
@@ -558,7 +679,7 @@ TEST_F(Fleet, FinishFlushesWithoutWaitingForLinger) {
   ec.max_batch_windows = 4096;
   ec.batch_linger_us = 30000000;  // 30 s
   ec.registry = &registry;
-  runtime::WindowBatcher batcher(*aes_->locator, ec);
+  runtime::WindowBatcher batcher(*aes_->locator, pool_, ec);
 
   const auto& samples = aes_->traces[0].samples;
   const auto start = std::chrono::steady_clock::now();
@@ -575,7 +696,7 @@ TEST_F(Fleet, FinishFlushesWithoutWaitingForLinger) {
 TEST_F(Fleet, BatchedStreamRejectsNaNAtIngest) {
   runtime::EngineConfig ec;
   ec.max_batch_windows = 32;
-  runtime::WindowBatcher batcher(*aes_->locator, ec);
+  runtime::WindowBatcher batcher(*aes_->locator, pool_, ec);
   auto stream = batcher.open_stream({});  // default policy: kReject
 
   const auto& samples = aes_->traces[0].samples;

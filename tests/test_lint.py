@@ -238,6 +238,33 @@ static inline T opaque(T v) { return v; }
             self.assertEqual(lint.check_isa_comdat(Path(root)), [])
 
 
+class ServingExecutorRule(unittest.TestCase):
+    def test_fires_on_a_wider_budget(self):
+        files = {"src/runtime/batch.cpp":
+                 ("void flush(const Config& c) {\n"
+                  "  nn::kernels::IntraOpGuard intra(c.threads);\n"
+                  "}\n"),
+                 "src/api/engine.cpp":
+                 "void f() { nn::kernels::set_intra_op_threads(4); }\n"}
+        with make_tree(files) as root:
+            findings = lint.check_serving_executor(Path(root))
+        self.assertEqual(len(findings), 2)
+        self.assertIn("src/api/engine.cpp:1", findings[0])
+        self.assertIn("src/runtime/batch.cpp:2", findings[1])
+        self.assertIn("[serving-executor]", findings[1])
+
+    def test_passes_on_budget_one_and_outside_serving_dirs(self):
+        files = {"src/runtime/batch.cpp":
+                 ("void run() {\n"
+                  "  const nn::kernels::IntraOpGuard intra(1);\n"
+                  "  // IntraOpGuard wide(8) stays a comment\n"
+                  "}\n"),
+                 "src/core/train.cpp":
+                 "void f() { nn::kernels::IntraOpGuard intra(8); }\n"}
+        with make_tree(files) as root:
+            self.assertEqual(lint.check_serving_executor(Path(root)), [])
+
+
 class RepositoryIsClean(unittest.TestCase):
     def test_full_lint_has_zero_findings(self):
         findings = lint.run(REPO_ROOT)

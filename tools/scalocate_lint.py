@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """scalocate custom lint: repo contracts no generic analyzer knows about.
 
-Five rules, each enforcing an invariant a previous PR established and that
+Six rules, each enforcing an invariant a previous PR established and that
 clang-tidy / compiler warnings cannot see:
 
   memory-order    std::memory_order uses are confined to an allowlisted set
@@ -25,6 +25,13 @@ clang-tidy / compiler warnings cannot see:
                   through the templates it instantiates: the linker keeps
                   one COMDAT copy of each, and an AVX-512-encoded copy kept
                   for an AVX2-only CPU is a SIGILL.
+  serving-executor
+                  in src/runtime/ and src/api/, every intra-op budget set
+                  explicitly (IntraOpGuard, set_intra_op_threads) is the
+                  literal 1: the serving plane spreads work as tasks on the
+                  engine's own pool, not by widening a budget. Code that
+                  sets no budget (and so runs at the process default) is
+                  not checked.
 
 Usage:  python3 tools/scalocate_lint.py [--root DIR] [--rule NAME]
 Exit status is non-zero iff any finding is reported. Run from anywhere;
@@ -486,6 +493,37 @@ def check_isa_comdat(root: Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: serving-executor
+# ---------------------------------------------------------------------------
+
+SERVING_DIRS = ("src/runtime/", "src/api/")
+
+# `IntraOpGuard name(args)`, `IntraOpGuard(args)`, `set_intra_op_threads(args)`.
+_BUDGET_SET = re.compile(
+    r"\b(IntraOpGuard|set_intra_op_threads)\b(?:\s+[A-Za-z_]\w*)?\s*"
+    r"[({]([^(){}]*)[)}]")
+
+
+def check_serving_executor(root: Path) -> list[str]:
+    findings = []
+    for path in _cxx_files(root):
+        rel = path.relative_to(root).as_posix()
+        if not rel.startswith(SERVING_DIRS):
+            continue
+        text = _strip_comments_and_strings(path.read_text())
+        for m in _BUDGET_SET.finditer(text):
+            if m.group(2).strip() == "1":
+                continue
+            lineno = text.count("\n", 0, m.start()) + 1
+            findings.append(
+                f"{rel}:{lineno}: [serving-executor] {m.group(1)} with "
+                f"budget `{m.group(2).strip()}`; serving code pins the "
+                f"intra-op budget to the literal 1 and runs parallel work "
+                f"as tasks on the engine's ThreadPool")
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -495,6 +533,7 @@ RULES = {
     "metric-drift": check_metric_drift,
     "header-using": check_header_using,
     "isa-comdat": check_isa_comdat,
+    "serving-executor": check_serving_executor,
 }
 
 
